@@ -18,7 +18,8 @@ from time import perf_counter
 
 import pytest
 
-from repro.harness.sweep import SweepCache, SweepSpec, run_sweep
+from repro.api import Session
+from repro.harness.sweep import SweepCache, SweepSpec
 
 pytestmark = pytest.mark.smoke
 
@@ -39,14 +40,14 @@ def test_sweep_cold_vs_warm(benchmark, tmp_path):
     cache_dir = tmp_path / "sweep-cache"
 
     t0 = perf_counter()
-    cold = run_sweep(_spec(), cache=SweepCache(cache_dir))
+    cold = Session(cache_dir=SweepCache(cache_dir)).sweep(_spec())
     cold_s = perf_counter() - t0
     assert cold.stats.simulated > 0
 
     def warm_once():
         cache = SweepCache(cache_dir)
         t0 = perf_counter()
-        res = run_sweep(_spec(), cache=cache)
+        res = Session(cache_dir=cache).sweep(_spec())
         return perf_counter() - t0, res, cache
 
     warm_s, warm, warm_cache = benchmark.pedantic(

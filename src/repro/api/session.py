@@ -20,14 +20,14 @@ long-lived server: per-request cost is the simulation itself, not
 registry lookups or pool startup.
 
 The legacy kwargs entry points (``run_cluster``, ``measure``,
-``run_pair``, ``run_sweep``) survive as deprecation shims delegating to
+``run_pair``) survive as deprecation shims delegating to
 :func:`default_session`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..apps.base import AppSpec
 from ..harness.runner import (
@@ -438,21 +438,27 @@ class Session:
         Specs that leave ``engine_mode`` unset (``None``) inherit the
         session's; a spec naming its own mode keeps it.  Either way the
         cache keys are unaffected (all modes are bit-identical)."""
+        executor = self.pool()
+        return _execute_sweep(
+            self._bind_specs(specs),
+            jobs=self._processes(),
+            cache=self.cache,
+            executor=executor,
+        )
+
+    def _bind_specs(
+        self, specs: Union[SweepSpec, Sequence[SweepSpec]]
+    ) -> List[SweepSpec]:
+        """``specs`` as a list, each spec without an ``engine_mode``
+        taking the session's (shared with the sweep server)."""
         if isinstance(specs, SweepSpec):
             specs = [specs]
-        specs = [
+        return [
             s
             if s.engine_mode is not None
             else dataclasses.replace(s, engine_mode=self.engine_mode)
             for s in specs
         ]
-        executor = self.pool()
-        return _execute_sweep(
-            specs,
-            jobs=self._processes(),
-            cache=self.cache,
-            executor=executor,
-        )
 
     def tune(
         self,

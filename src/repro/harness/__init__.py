@@ -29,7 +29,6 @@ from .sweep import (  # noqa: F401
     SweepSpec,
     collective_label,
     expand_spec,
-    run_sweep,
 )
 
 __all__ = [
@@ -57,5 +56,4 @@ __all__ = [
     "SweepSpec",
     "collective_label",
     "expand_spec",
-    "run_sweep",
 ]

@@ -9,10 +9,11 @@ nested loops.  This module separates the *experiment spec* from the
 * :class:`SweepSpec` names the axes; :func:`expand_spec` expands the
   cross-product into :class:`SweepPoint`\\ s (transforming each workload
   once per tile/interchange choice, not once per point);
-* :func:`run_sweep` runs every point through the sharded
-  :func:`~repro.interp.runner.run_many` pool, deduplicating points whose
+* :func:`plan_sweep` fingerprints the points, deduplicates those whose
   content fingerprints coincide (e.g. the untransformed baseline of a
-  tile-size sweep), and folds each run into a
+  tile-size sweep) and probes the cache; the rest run through the
+  sharded :func:`~repro.interp.runner.run_many` pool and
+  :class:`SweepPlan` folds each run into a
   :class:`~repro.harness.runner.Measurement`;
 * :class:`SweepCache` stores each measurement on disk keyed by
   :func:`~repro.interp.runner.job_fingerprint` — the sha-256 of
@@ -34,8 +35,8 @@ import json
 import hashlib
 import os
 import tempfile
+import threading
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -58,7 +59,12 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 from ..apps import build_app
 from ..errors import ReproError
-from ..interp.runner import ClusterJob, job_fingerprint, run_many
+from ..interp.runner import (
+    ClusterJob,
+    ClusterRun,
+    job_fingerprint,
+    run_many,
+)
 from ..lang.ast_nodes import SourceFile
 from ..runtime.collectives import (
     COLLECTIVES,
@@ -89,9 +95,12 @@ __all__ = [
     "SweepRun",
     "SweepStats",
     "SweepResult",
+    "SweepPlan",
     "collective_label",
     "expand_spec",
-    "run_sweep",
+    "plan_sweep",
+    "read_measurement",
+    "read_verdict",
 ]
 
 NetworkLike = Union[str, NetworkModel]
@@ -405,6 +414,14 @@ class SweepCache:
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self.stats = CacheStats()
+        self._stats_lock = threading.Lock()
+
+    def count(self, name: str) -> None:
+        """Add one to the ``name`` counter of :attr:`stats` (safe from
+        any thread: a sweep server probes from worker threads while its
+        event loop stores)."""
+        with self._stats_lock:
+            setattr(self.stats, name, getattr(self.stats, name) + 1)
 
     def path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
@@ -422,10 +439,10 @@ class SweepCache:
         except FileNotFoundError:
             return None
         except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            self.stats.corrupt += 1
+            self.count("corrupt")
             return None
         if not isinstance(payload, dict) or payload.get("key") != key:
-            self.stats.corrupt += 1
+            self.count("corrupt")
             return None
         return payload
 
@@ -450,7 +467,7 @@ class SweepCache:
             except OSError:
                 pass
             raise
-        self.stats.stores += 1
+        self.count("stores")
         self.release(key)
 
     # ------------------------------------------- multi-writer protocol
@@ -733,8 +750,8 @@ def expand_spec(
     options, which :func:`~repro.interp.runner.job_fingerprint` folds
     into the cache key.  Verification requests (one per *transformed*
     variant, when ``spec.verify``) come back separately so
-    :func:`run_sweep` can satisfy them from the cache or shard their
-    simulations into the same pool batch; variants that leave a
+    :func:`plan_sweep` can satisfy them from the cache and the rest can
+    ride in the same batch as the points; variants that leave a
     program unchanged (e.g. ``tile-only`` on an indirect workload)
     have nothing to verify and are measured as-is.
     """
@@ -860,7 +877,8 @@ class SweepRun:
 
 @dataclass
 class SweepStats:
-    """How one :func:`run_sweep` call was satisfied."""
+    """How one sweep (:meth:`repro.api.Session.sweep`, or one sweep
+    request to the server) was satisfied."""
 
     points: int = 0
     simulated: int = 0  # measurement simulations actually run
@@ -871,7 +889,9 @@ class SweepStats:
     uncacheable: int = 0  # points with externals (never cached)
     verify_checks: int = 0
     verify_hits: int = 0
-    mode: str = "none"  # "pool" | "serial" | "none" (no jobs needed)
+    #: "pool" | "serial" | "none" (no jobs needed); a sweep server
+    #: reports "pool" or "thread", the executor its jobs last ran on
+    mode: str = "none"
     processes: int = 1
 
     @property
@@ -936,6 +956,225 @@ class SweepResult:
         }
 
 
+# --------------------------------------------------------------- stages
+#
+# A sweep runs in three stages: plan (expand, fingerprint, dedupe, probe
+# the cache), execute (run what the cache lacked) and fold (measure,
+# store, check equivalence, assemble).  :func:`_execute_sweep` runs the
+# execute stage as one ``run_many`` batch; the sweep server
+# (:mod:`repro.serve.server`) runs it job by job behind its coalescing
+# and claim layers.  Both share the plan and fold stages, and with them
+# the one reader and writer of cache payloads.
+
+
+def read_measurement(
+    cache: SweepCache, fingerprint: str
+) -> Optional[Measurement]:
+    """The measurement cached under ``fingerprint``, or ``None``.
+
+    An entry that does not decode counts as ``corrupt`` and reads as a
+    miss.  Hits and misses are the caller's to count: the plan stage
+    counts one probe per fingerprint, a server's re-probes count none.
+    """
+    payload = cache.get(fingerprint)
+    if payload is None or payload.get("kind") != "measurement":
+        return None
+    try:
+        return Measurement.from_dict(payload["measurement"])
+    except (TypeError, ValueError, KeyError):
+        cache.count("corrupt")
+        return None
+
+
+def read_verdict(cache: SweepCache, key: str) -> bool:
+    """True when the cache holds a passed equivalence check under
+    ``key``."""
+    payload = cache.get(key)
+    return (
+        payload is not None
+        and payload.get("kind") == "verify"
+        and payload.get("equivalent") is True
+    )
+
+
+#: a point's work key: its fingerprint, or its index in
+#: :attr:`SweepPlan.points` when it is uncacheable (externals)
+WorkKey = Union[str, int]
+
+
+@dataclass
+class SweepPlan:
+    """A planned sweep (:func:`plan_sweep`) and the ledger its execute
+    and fold stages fill in.
+
+    ``pending`` holds one representative point per work key the cache
+    could not serve, ``verifications`` the equivalence checks whose
+    verdict it lacked.  Each run of a pending point goes through
+    :meth:`fold_run` and each pair of verification runs through
+    :meth:`fold_verification` (:meth:`fold` does both for the batch of
+    :meth:`jobs`); :meth:`result` then assembles the
+    :class:`SweepResult`.
+    """
+
+    specs: List[SweepSpec]
+    points: List[SweepPoint]
+    cache: Optional[SweepCache]
+    stats: SweepStats
+    pending: Dict[WorkKey, SweepPoint] = field(default_factory=dict)
+    verifications: List[_Verification] = field(default_factory=list)
+    #: work key -> (label-less measurement, served from the cache rather
+    #: than simulated this round)
+    resolved: Dict[WorkKey, Tuple[Measurement, bool]] = field(
+        default_factory=dict
+    )
+
+    def key(self, index: int) -> WorkKey:
+        fingerprint = self.points[index].fingerprint
+        return index if fingerprint is None else fingerprint
+
+    def jobs(self) -> List[ClusterJob]:
+        """The execute stage as one batch: every pending point, then
+        both runs of every pending check (the order :meth:`fold`
+        reads)."""
+        batch = [point.job() for point in self.pending.values()]
+        for ver in self.verifications:
+            batch += [ver.original_job, ver.transformed_job]
+        return batch
+
+    def fold(self, runs: Sequence[ClusterRun]) -> None:
+        """Fold the runs of :meth:`jobs`, in order."""
+        it = iter(runs)
+        for key in self.pending:
+            self.fold_run(key, next(it))
+        for ver in self.verifications:
+            self.fold_verification(ver, next(it), next(it))
+
+    def fold_run(self, key: WorkKey, run: ClusterRun) -> Measurement:
+        """One simulated pending point as a measurement, stored in the
+        cache under its fingerprint."""
+        point = self.pending[key]
+        m = measurement_from_run(
+            run, network=point.network, collective=point.collective
+        )
+        if self.cache is not None and point.fingerprint is not None:
+            self.cache.put(
+                point.fingerprint,
+                {
+                    "kind": "measurement",
+                    "inputs": dict(point.axes),
+                    "measurement": m.to_dict(),
+                },
+            )
+        self.stats.simulated += 1
+        self.resolved[key] = (m, False)
+        return m
+
+    def fold_verification(
+        self,
+        ver: _Verification,
+        original: ClusterRun,
+        transformed: ClusterRun,
+    ) -> None:
+        """Check one pending verification's runs (raises on mismatch)
+        and store the verdict."""
+        ver.prepared.check_equivalence(original, transformed)
+        if self.cache is not None and ver.key is not None:
+            self.cache.put(
+                ver.key,
+                {
+                    "kind": "verify",
+                    "equivalent": True,
+                    "app": ver.prepared.app.name,
+                    "nranks": ver.prepared.app.nranks,
+                },
+            )
+        self.stats.verify_simulated += 2
+
+    def result(self) -> SweepResult:
+        """Every point's run, in point order, once all keys resolved."""
+        runs: List[SweepRun] = []
+        hits = misses = deduplicated = 0
+        seen: set = set()
+        for index, point in enumerate(self.points):
+            key = self.key(index)
+            m, cached = self.resolved[key]
+            if point.fingerprint is not None:
+                if cached:
+                    hits += 1
+                elif key in seen:
+                    deduplicated += 1
+                else:
+                    misses += 1
+                seen.add(key)
+            runs.append(
+                SweepRun(
+                    axes=point.axes,
+                    measurement=replace(m, label=point.label),
+                    cached=cached,
+                    fingerprint=point.fingerprint,
+                    transform=point.transform,
+                )
+            )
+        self.stats.cache_hits = hits
+        self.stats.cache_misses = misses
+        self.stats.deduplicated = deduplicated
+        return SweepResult(runs=runs, stats=self.stats, specs=self.specs)
+
+
+def plan_sweep(
+    specs: Union[SweepSpec, Sequence[SweepSpec]],
+    cache: Union[None, str, Path, SweepCache],
+) -> SweepPlan:
+    """Stage 1: expand every spec, fingerprint every point, dedupe
+    points by fingerprint, and probe the cache for measurements and
+    verification verdicts (counting its hits and misses)."""
+    if isinstance(specs, SweepSpec):
+        specs = [specs]
+    specs = list(specs)
+    cache = _as_cache(cache)
+    points: List[SweepPoint] = []
+    verifications: List[_Verification] = []
+    for spec in specs:
+        pts, vers = expand_spec(spec)
+        points.extend(pts)
+        verifications.extend(vers)
+    plan = SweepPlan(
+        specs=specs,
+        points=points,
+        cache=cache,
+        stats=SweepStats(points=len(points), verify_checks=len(verifications)),
+    )
+
+    for index, point in enumerate(points):
+        if point.externals is not None:
+            plan.stats.uncacheable += 1
+            plan.pending[index] = point
+            continue
+        fp = point.fingerprint = job_fingerprint(point.job())
+        if fp in plan.resolved or fp in plan.pending:
+            continue
+        m = read_measurement(cache, fp) if cache is not None else None
+        if m is not None:
+            cache.count("hits")
+            plan.resolved[fp] = (m, True)
+            continue
+        if cache is not None:
+            cache.count("misses")
+        plan.pending[fp] = point
+
+    for ver in verifications:
+        if cache is None or ver.key is None:
+            plan.verifications.append(ver)
+        elif read_verdict(cache, ver.key):
+            ver.prepared.equivalent = True
+            plan.stats.verify_hits += 1
+            cache.count("verify_hits")
+        else:
+            cache.count("verify_misses")
+            plan.verifications.append(ver)
+    return plan
+
+
 def _execute_sweep(
     specs: Union[SweepSpec, Sequence[SweepSpec]],
     *,
@@ -943,7 +1182,8 @@ def _execute_sweep(
     cache: Union[None, str, Path, SweepCache] = None,
     executor=None,
 ) -> SweepResult:
-    """Execute one or more sweep specs through the shared engine.
+    """Execute one or more sweep specs: plan, one ``run_many`` batch,
+    fold.
 
     ``jobs`` > 1 shards the simulations over a
     :func:`~repro.interp.runner.run_many` process pool (verification
@@ -955,199 +1195,13 @@ def _execute_sweep(
     fingerprints coincide are simulated once per batch regardless of
     caching.
 
-    This is the engine behind :meth:`repro.api.Session.sweep`; the
-    kwargs-style :func:`run_sweep` is a deprecation shim over it.
+    This is the engine behind :meth:`repro.api.Session.sweep`.
     """
-    if isinstance(specs, SweepSpec):
-        specs = [specs]
-    specs = list(specs)
-    cache = _as_cache(cache)
-
-    points: List[SweepPoint] = []
-    verifications: List[_Verification] = []
-    for spec in specs:
-        pts, vers = expand_spec(spec)
-        points.extend(pts)
-        verifications.extend(vers)
-
-    stats = SweepStats(points=len(points))
-
-    # -- fingerprint every point (externals => uncacheable)
-    for point in points:
-        if point.externals is None:
-            point.fingerprint = job_fingerprint(point.job())
-        else:
-            point.fingerprint = None
-            stats.uncacheable += 1
-
-    # -- satisfy what we can from the cache
-    served: Dict[str, Measurement] = {}
-    pending: Dict[str, SweepPoint] = {}  # fingerprint -> representative
-    uncached_points: List[SweepPoint] = []
-    for point in points:
-        fp = point.fingerprint
-        if fp is None:
-            uncached_points.append(point)
-            continue
-        if fp in served or fp in pending:
-            continue
-        payload = cache.get(fp) if cache is not None else None
-        if payload is not None and payload.get("kind") == "measurement":
-            try:
-                served[fp] = Measurement.from_dict(payload["measurement"])
-                cache.stats.hits += 1
-                continue
-            except (TypeError, ValueError, KeyError):
-                cache.stats.corrupt += 1
-        if cache is not None:
-            cache.stats.misses += 1
-        pending[fp] = point
-
-    # -- verification: cache verdicts, simulate the rest in the batch
-    stats.verify_checks = len(verifications)
-    pending_verifications: List[_Verification] = []
-    for ver in verifications:
-        payload = (
-            cache.get(ver.key)
-            if cache is not None and ver.key is not None
-            else None
-        )
-        if (
-            payload is not None
-            and payload.get("kind") == "verify"
-            and payload.get("equivalent") is True
-        ):
-            ver.prepared.equivalent = True
-            stats.verify_hits += 1
-            cache.stats.verify_hits += 1
-        else:
-            if cache is not None and ver.key is not None:
-                cache.stats.verify_misses += 1
-            pending_verifications.append(ver)
-
-    # -- one sharded batch: measurement misses, uncacheable points,
-    #    then verification pairs (submission order is deterministic)
-    batch_jobs: List[ClusterJob] = [
-        replace(pending[fp].job(), label="") for fp in pending
-    ]
-    batch_jobs.extend(p.job() for p in uncached_points)
-    stats.simulated = len(batch_jobs)
-    for ver in pending_verifications:
-        batch_jobs.append(ver.original_job)
-        batch_jobs.append(ver.transformed_job)
-    stats.verify_simulated = 2 * len(pending_verifications)
-
-    if batch_jobs:
-        batch = run_many(batch_jobs, processes=jobs, executor=executor)
-        stats.mode = batch.mode
-        stats.processes = batch.processes
-    else:
-        batch = []
-
-    # -- fold the batch back
-    cursor = 0
-    for fp, point in pending.items():
-        run = batch[cursor]
-        cursor += 1
-        m = measurement_from_run(
-            run, network=point.network, collective=point.collective
-        )
-        served[fp] = m
-        if cache is not None:
-            cache.put(
-                fp,
-                {
-                    "kind": "measurement",
-                    "inputs": dict(point.axes),
-                    "measurement": m.to_dict(),
-                },
-            )
-    uncached_measurements: List[Measurement] = []
-    for point in uncached_points:
-        run = batch[cursor]
-        cursor += 1
-        uncached_measurements.append(
-            measurement_from_run(
-                run,
-                network=point.network,
-                label=point.label,
-                collective=point.collective,
-            )
-        )
-    for ver in pending_verifications:
-        run_a = batch[cursor]
-        run_b = batch[cursor + 1]
-        cursor += 2
-        ver.prepared.check_equivalence(run_a, run_b)  # raises on mismatch
-        if cache is not None and ver.key is not None:
-            cache.put(
-                ver.key,
-                {
-                    "kind": "verify",
-                    "equivalent": True,
-                    "app": ver.prepared.app.name,
-                    "nranks": ver.prepared.app.nranks,
-                },
-            )
-
-    # -- assemble results in point order
-    runs: List[SweepRun] = []
-    uncached_iter = iter(uncached_measurements)
-    hit_fps = {
-        fp for fp in served if fp not in pending
-    }  # served straight from cache
-    seen_fp: set = set()
-    for point in points:
-        fp = point.fingerprint
-        if fp is None:
-            m = next(uncached_iter)
-            cached = False
-        else:
-            m = replace(served[fp], label=point.label)
-            cached = fp in hit_fps
-            if cached:
-                stats.cache_hits += 1
-            elif fp in seen_fp:
-                stats.deduplicated += 1
-            else:
-                stats.cache_misses += 1
-            seen_fp.add(fp)
-        runs.append(
-            SweepRun(
-                axes=point.axes,
-                measurement=m,
-                cached=cached,
-                fingerprint=fp,
-                transform=point.transform,
-            )
-        )
-    return SweepResult(runs=runs, stats=stats, specs=specs)
-
-
-def run_sweep(
-    specs: Union[SweepSpec, Sequence[SweepSpec]],
-    *,
-    jobs: Optional[int] = None,
-    cache: Union[None, str, Path, SweepCache] = None,
-) -> SweepResult:
-    """Deprecated kwargs-style entry; use
-    :meth:`repro.api.Session.sweep` on a session constructed with
-    ``cache_dir=``/``jobs=``.
-
-    The shim builds a one-shot :class:`repro.api.Session` (so any pool
-    it creates is torn down again — the whole point of a real Session is
-    to keep that pool alive between calls).
-    """
-    warnings.warn(
-        "run_sweep(...) is deprecated; use "
-        "repro.Session(cache_dir=..., jobs=...).sweep(specs)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..api.session import Session
-
-    session = Session(cache_dir=cache, jobs=jobs)
-    try:
-        return session.sweep(specs)
-    finally:
-        session.close()
+    plan = plan_sweep(specs, cache)
+    batch = plan.jobs()
+    if batch:
+        runs = run_many(batch, processes=jobs, executor=executor)
+        plan.stats.mode = runs.mode
+        plan.stats.processes = runs.processes
+        plan.fold(runs)
+    return plan.result()

@@ -1,11 +1,12 @@
-"""Clients for the sweep service — sync and async.
+"""Clients for the sweep service — async, and a blocking wrapper.
 
-:class:`ServeClient` speaks the line-delimited JSON protocol
-(:mod:`repro.serve.protocol`) over a plain blocking socket: one
-connection, one outstanding request at a time (the server's per-
-connection ordering guarantee makes anything fancier pointless — open
-more clients for concurrency).  :class:`AsyncServeClient` is the same
-surface on asyncio streams for callers already inside an event loop.
+:class:`AsyncServeClient` speaks the line-delimited JSON protocol
+(:mod:`repro.serve.protocol`) on asyncio streams: one connection, one
+outstanding request at a time (the server's per-connection ordering
+guarantee makes anything fancier pointless — open more clients for
+concurrency).  :class:`ServeClient` is the same surface for blocking
+callers: it drives an :class:`AsyncServeClient` on a private event
+loop.
 
 Both raise the server's structured errors as the matching local
 exception types (:class:`~repro.errors.RequestError`,
@@ -19,8 +20,9 @@ and surface streamed progress through an optional ``on_event`` callback::
 
 from __future__ import annotations
 
+import asyncio
 import itertools
-import socket
+import json
 from typing import Any, Callable, Dict, Mapping, Optional, Union
 
 from ..errors import ServeError
@@ -94,62 +96,56 @@ def _tune_body(
     return body
 
 
-class _EventPump:
-    """Shared request/response logic: feed events until the terminal
-    one, dispatching progress to ``on_event``."""
+class AsyncServeClient:
+    """The verb surface on asyncio streams.
 
-    @staticmethod
-    def finish(message: Dict[str, Any], on_event: OnEvent) -> Optional[Dict]:
-        """Returns the result payload on the terminal event, ``None``
-        to keep reading; raises the mapped exception on ``error``."""
-        kind = message.get("event")
-        if kind == "error":
-            raise exception_from_event(message)
-        if on_event is not None and kind not in ("result",):
-            on_event(message)
-        if kind == "result":
-            return message
-        return None
+    Build with :meth:`connect`::
 
+        client = await AsyncServeClient.connect(port=port)
+        result = await client.sweep(spec)
+        await client.close()
+    """
 
-class ServeClient:
-    """Blocking client over one socket connection."""
+    #: seconds to wait for each server event (``None``: no limit); the
+    #: blocking :class:`ServeClient` sets it from its ``timeout=``
+    _timeout: Optional[float] = None
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        timeout: Optional[float] = None,
-    ) -> None:
+    def __init__(self, reader, writer, host: str, port: int) -> None:
+        self._reader = reader
+        self._writer = writer
         self.host = host
         self.port = port
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._reader = self._sock.makefile("rb")
 
-    # ------------------------------------------------------------ verbs
+    @classmethod
+    async def connect(
+        cls, host: str = "127.0.0.1", port: int = 0
+    ) -> "AsyncServeClient":
+        reader, writer = await asyncio.open_connection(
+            host, port, limit=MAX_MESSAGE_BYTES
+        )
+        return cls(reader, writer, host, port)
 
-    def sweep(
+    async def sweep(
         self,
         spec: Union[SweepSpec, Mapping[str, Any], list, tuple],
         *,
         on_event: OnEvent = None,
     ) -> Dict[str, Any]:
         """Submit sweep spec(s); returns the
-        :meth:`~repro.harness.sweep.SweepResult.to_json`-shaped result."""
-        return self._request("sweep", _spec_body(spec), on_event)["result"]
+        :meth:`~repro.harness.sweep.SweepResult.to_json`-shaped result
+        (its ``stats`` add the server's ``peer_served``/``coalesced``
+        counts)."""
+        return await self._request("sweep", _spec_body(spec), on_event)
 
     submit = sweep  # the CLI verb's name
 
-    def compare(self, app: str, **body: Any) -> Dict[str, Any]:
-        return self._request("compare", dict(body, app=app), None)["result"]
+    async def compare(self, app: str, **body: Any) -> Dict[str, Any]:
+        return await self._request("compare", dict(body, app=app), None)
 
-    def verify(self, program: str, **body: Any) -> Dict[str, Any]:
-        return self._request("verify", dict(body, program=program), None)[
-            "result"
-        ]
+    async def verify(self, program: str, **body: Any) -> Dict[str, Any]:
+        return await self._request("verify", dict(body, program=program), None)
 
-    def tune(
+    async def tune(
         self,
         space: Union[Mapping[str, Any], Any],
         *,
@@ -165,39 +161,44 @@ class ServeClient:
         per-evaluation ``step`` events stream to ``on_event``.  Returns
         the :meth:`~repro.tune.TuneResult.to_dict` payload plus the
         full ``trajectory``."""
-        return self._request(
-            "tune", _tune_body(
-                space,
-                strategy=strategy,
-                budget=budget,
-                objective=objective,
-                seed=seed,
-                strategy_params=strategy_params,
-            ), on_event
-        )["result"]
+        body = _tune_body(
+            space,
+            strategy=strategy,
+            budget=budget,
+            objective=objective,
+            seed=seed,
+            strategy_params=strategy_params,
+        )
+        return await self._request("tune", body, on_event)
 
-    def status(self) -> Dict[str, Any]:
-        return self._request("status", {}, None)["result"]
+    async def status(self) -> Dict[str, Any]:
+        return await self._request("status", {}, None)
 
-    def shutdown(self, *, drain: bool = True) -> Dict[str, Any]:
+    async def shutdown(self, *, drain: bool = True) -> Dict[str, Any]:
         """Ask the server to stop (drain by default); closes this
         client's connection afterwards (the server hangs up)."""
         try:
-            return self._request("shutdown", {"drain": drain}, None)["result"]
+            return await self._request("shutdown", {"drain": drain}, None)
         finally:
-            self.close()
+            await self.close()
 
     # ------------------------------------------------------- transport
 
-    def _request(
+    async def _request(
         self, rtype: str, body: Mapping[str, Any], on_event: OnEvent
     ) -> Dict[str, Any]:
+        """Send one request; dispatch its progress events to
+        ``on_event`` and return the terminal ``result`` payload (an
+        ``error`` event raises the mapped exception)."""
         request_id = f"c{next(_ids)}"
-        self._sock.sendall(
+        self._writer.write(
             encode_message(_request_payload(rtype, request_id, body))
         )
+        await self._writer.drain()
         while True:
-            line = self._reader.readline(MAX_MESSAGE_BYTES)
+            line = await asyncio.wait_for(
+                self._reader.readline(), self._timeout
+            )
             if not line:
                 raise ServeError(
                     "server closed the connection before the terminal "
@@ -206,76 +207,69 @@ class ServeClient:
             message = _decode_event(line)
             if message.get("id") not in ("", request_id):
                 continue  # stale event from an aborted earlier request
-            terminal = _EventPump.finish(message, on_event)
-            if terminal is not None:
-                return terminal
+            kind = message.get("event")
+            if kind == "error":
+                raise exception_from_event(message)
+            if kind == "result":
+                return message["result"]
+            if on_event is not None:
+                on_event(message)
 
-    def close(self) -> None:
+    async def close(self) -> None:
         try:
-            self._reader.close()
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
+            self._writer.close()
+            await self._writer.wait_closed()
+        except (ConnectionError, OSError):
             pass
 
-    def __enter__(self) -> "ServeClient":
-        return self
 
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
+class ServeClient:
+    """Blocking client over one connection: an
+    :class:`AsyncServeClient` driven on a private event loop (so it
+    cannot be used from inside a running loop; use the async client
+    there).  ``timeout`` bounds the connect and each wait for a server
+    event."""
 
-
-class AsyncServeClient:
-    """The same verb surface on asyncio streams.
-
-    Build with :meth:`connect`::
-
-        client = await AsyncServeClient.connect(port=port)
-        result = await client.sweep(spec)
-        await client.close()
-    """
-
-    def __init__(self, reader, writer, host: str, port: int) -> None:
-        self._reader = reader
-        self._writer = writer
+    def __init__(
+        self,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        *,
+        timeout: Optional[float] = None,
+    ) -> None:
         self.host = host
         self.port = port
+        self._loop = asyncio.new_event_loop()
+        try:
+            self._client = self._loop.run_until_complete(
+                asyncio.wait_for(AsyncServeClient.connect(host, port), timeout)
+            )
+        except BaseException:
+            self._loop.close()
+            raise
+        self._client._timeout = timeout
 
-    @classmethod
-    async def connect(
-        cls, host: str = "127.0.0.1", port: int = 0
-    ) -> "AsyncServeClient":
-        import asyncio
+    def _run(self, coro):
+        return self._loop.run_until_complete(coro)
 
-        reader, writer = await asyncio.open_connection(
-            host, port, limit=MAX_MESSAGE_BYTES
-        )
-        return cls(reader, writer, host, port)
-
-    async def sweep(
+    def sweep(
         self,
         spec: Union[SweepSpec, Mapping[str, Any], list, tuple],
         *,
         on_event: OnEvent = None,
     ) -> Dict[str, Any]:
-        response = await self._request("sweep", _spec_body(spec), on_event)
-        return response["result"]
+        """Blocking :meth:`AsyncServeClient.sweep`."""
+        return self._run(self._client.sweep(spec, on_event=on_event))
 
-    submit = sweep
+    submit = sweep  # the CLI verb's name
 
-    async def compare(self, app: str, **body: Any) -> Dict[str, Any]:
-        response = await self._request("compare", dict(body, app=app), None)
-        return response["result"]
+    def compare(self, app: str, **body: Any) -> Dict[str, Any]:
+        return self._run(self._client.compare(app, **body))
 
-    async def verify(self, program: str, **body: Any) -> Dict[str, Any]:
-        response = await self._request(
-            "verify", dict(body, program=program), None
-        )
-        return response["result"]
+    def verify(self, program: str, **body: Any) -> Dict[str, Any]:
+        return self._run(self._client.verify(program, **body))
 
-    async def tune(
+    def tune(
         self,
         space: Union[Mapping[str, Any], Any],
         *,
@@ -286,63 +280,46 @@ class AsyncServeClient:
         strategy_params: Optional[Mapping[str, Any]] = None,
         on_event: OnEvent = None,
     ) -> Dict[str, Any]:
-        response = await self._request(
-            "tune", _tune_body(
+        """Blocking :meth:`AsyncServeClient.tune`."""
+        return self._run(
+            self._client.tune(
                 space,
                 strategy=strategy,
                 budget=budget,
                 objective=objective,
                 seed=seed,
                 strategy_params=strategy_params,
-            ), on_event
-        )
-        return response["result"]
-
-    async def status(self) -> Dict[str, Any]:
-        return (await self._request("status", {}, None))["result"]
-
-    async def shutdown(self, *, drain: bool = True) -> Dict[str, Any]:
-        try:
-            response = await self._request(
-                "shutdown", {"drain": drain}, None
+                on_event=on_event,
             )
-            return response["result"]
-        finally:
-            await self.close()
-
-    async def _request(
-        self, rtype: str, body: Mapping[str, Any], on_event: OnEvent
-    ) -> Dict[str, Any]:
-        request_id = f"c{next(_ids)}"
-        self._writer.write(
-            encode_message(_request_payload(rtype, request_id, body))
         )
-        await self._writer.drain()
-        while True:
-            line = await self._reader.readline()
-            if not line:
-                raise ServeError(
-                    "server closed the connection before the terminal "
-                    "event (crashed or shut down without drain?)"
-                )
-            message = _decode_event(line)
-            if message.get("id") not in ("", request_id):
-                continue
-            terminal = _EventPump.finish(message, on_event)
-            if terminal is not None:
-                return terminal
 
-    async def close(self) -> None:
+    def status(self) -> Dict[str, Any]:
+        return self._run(self._client.status())
+
+    def shutdown(self, *, drain: bool = True) -> Dict[str, Any]:
+        """Ask the server to stop (drain by default); closes this
+        client afterwards (the server hangs up)."""
         try:
-            self._writer.close()
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+            return self._run(self._client.shutdown(drain=drain))
+        finally:
+            self.close()
+
+    def close(self) -> None:
+        if self._loop.is_closed():
+            return
+        try:
+            self._run(self._client.close())
+        finally:
+            self._loop.close()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
 
 def _decode_event(line: bytes) -> Dict[str, Any]:
-    import json
-
     try:
         message = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:

@@ -4,16 +4,20 @@
 :class:`~repro.api.Session` façade so the reproduction behaves as shared
 infrastructure rather than a per-process convenience: many concurrent
 clients submit sweep/compare/verify requests as JSON
-(:mod:`repro.serve.protocol`), the server expands and fingerprints their
-points, **coalesces** concurrent identical work so each fingerprint is
-simulated at most once cluster-wide, shards the live simulations across
-the session's persistent process pool, and streams per-point progress
-events back to each subscriber.
+(:mod:`repro.serve.protocol`), the server runs them through the same
+plan and fold stages as :meth:`repro.api.Session.sweep`
+(:func:`~repro.harness.sweep.plan_sweep`,
+:class:`~repro.harness.sweep.SweepPlan`), **coalesces** concurrent
+identical work so each fingerprint is simulated at most once
+cluster-wide, shards the live simulations across the session's
+persistent process pool, and streams per-point progress events back to
+each subscriber.
 
 Deduplication happens at three layers, cheapest first:
 
-1. the content-addressed :class:`~repro.harness.sweep.SweepCache` —
-   previously simulated fingerprints are served without any work;
+1. the content-addressed :class:`~repro.harness.sweep.SweepCache`,
+   probed by the plan stage — previously simulated fingerprints are
+   served without any work;
 2. an in-process map of in-flight fingerprints to futures — a request
    arriving while an identical point simulates *subscribes* to the
    running simulation instead of starting its own;
@@ -21,6 +25,9 @@ Deduplication happens at three layers, cheapest first:
    (:meth:`~repro.harness.sweep.SweepCache.claim`) — a second *server*
    sharing the cache directory waits for the claiming peer's entry to
    land instead of duplicating the simulation.
+
+Only the layers are the server's own; reading and writing cache
+payloads and assembling results stay in :mod:`repro.harness.sweep`.
 
 Backpressure is admission control at expansion time: a sweep whose
 expanded point count would push the server past ``max_pending_points``
@@ -47,16 +54,19 @@ from ..api.context import UNSET, CompareRequest, VerifyRequest
 from ..api.session import Session
 from ..apps import build_app
 from ..errors import OverloadError, ReproError, RequestError
-from ..harness.runner import Measurement, measurement_from_run
 from ..harness.sweep import (
     CLAIM_STALE_AFTER,
     SweepCache,
-    SweepPoint,
+    SweepPlan,
+    SweepResult,
     SweepSpec,
-    _Verification,
-    expand_spec,
+    SweepStats,
+    WorkKey,
+    plan_sweep,
+    read_measurement,
+    read_verdict,
 )
-from ..interp.runner import ClusterJob, execute_job, job_fingerprint
+from ..interp.runner import ClusterJob, execute_job
 from ..runtime.simulator import ENGINE_VERSION
 from .protocol import (
     PROTOCOL_VERSION,
@@ -81,6 +91,12 @@ class ServeStats:
     means every requested point cost a simulation; anything below means
     the cache, the in-flight coalescing, or a peer's claim absorbed the
     difference.
+
+    The point counters add up the per-request ``stats`` of sweep
+    results: ``cache_hits`` counts every point served from the cache
+    (``cached: true``), including those read after waiting on a peer's
+    claim, which ``peer_served`` counts again; ``coalesced`` counts the
+    points that subscribed to another request's in-flight work.
     """
 
     requests: int = 0
@@ -151,14 +167,14 @@ class SweepServer:
         self.max_pending_points = max_pending_points
         self.peer_wait_timeout = peer_wait_timeout
         self.peer_poll = peer_poll
-        self.executor_workers = executor_workers
+        self.executor_workers = executor_workers or 4
         self.stats = ServeStats()
 
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread_executor = None
-        #: fingerprint -> future of (base Measurement, source) for every
-        #: measurement simulation currently in flight (layer 2 dedup)
+        #: fingerprint -> future of (label-less Measurement, cached) for
+        #: every measurement currently in flight (layer 2 dedup)
         self._inflight: Dict[str, "asyncio.Future"] = {}
         #: verification key -> future (same shape, verify verdicts)
         self._inflight_verify: Dict[str, "asyncio.Future"] = {}
@@ -247,15 +263,18 @@ class SweepServer:
             from concurrent.futures import ThreadPoolExecutor
 
             self._thread_executor = ThreadPoolExecutor(
-                max_workers=self.executor_workers or 4,
+                max_workers=self.executor_workers,
                 thread_name_prefix="repro-serve",
             )
         return self._thread_executor
 
-    async def _run_job(self, job: ClusterJob):
-        return await self._loop.run_in_executor(
-            self._executor_for(job), execute_job, job
-        )
+    async def _run_job(self, job: ClusterJob, stats: SweepStats):
+        executor = self._executor_for(job)
+        if executor is self._thread_executor:
+            stats.mode, stats.processes = "thread", self.executor_workers
+        else:
+            stats.mode, stats.processes = "pool", self.session.jobs
+        return await self._loop.run_in_executor(executor, execute_job, job)
 
     # ------------------------------------------------------ connections
 
@@ -380,358 +399,224 @@ class SweepServer:
                 raise RequestError(f"invalid sweep spec: {exc}") from None
             except (TypeError, ValueError) as exc:
                 raise RequestError(f"invalid sweep spec: {exc}") from None
-            if spec.engine_mode is None:
-                spec = dataclasses.replace(
-                    spec, engine_mode=self.session.engine_mode
-                )
             specs.append(spec)
         return specs
 
     async def _handle_sweep(self, request: ServeRequest, send) -> None:
         self.stats.sweeps += 1
         specs = self._parse_specs(request.body)
+        result, extra = await self._sweep(specs, send, request.id)
+        payload = result.to_json()
+        payload["stats"].update(extra)
+        await send(event("result", request.id, result=payload))
+
+    async def _sweep(
+        self, specs: List[SweepSpec], send=None, request_id: str = ""
+    ) -> Tuple[SweepResult, Dict[str, int]]:
+        """Run ``specs`` through the shared sweep stages (§7) with the
+        three dedup layers (§11.2) around their execute stage.
+
+        Returns the :class:`~repro.harness.sweep.SweepResult` and the
+        serve-only counters (``peer_served``, ``coalesced``).  With
+        ``send``, streams ``accepted`` and one ``point`` event per
+        point as its work key resolves.  Sweep requests and tune rounds
+        both come through here.
+        """
+        specs = self.session._bind_specs(specs)
         try:
-            points, verifications = await asyncio.to_thread(
-                self._expand, specs
+            # expansion transforms programs: CPU work kept off the loop
+            plan = await asyncio.to_thread(
+                plan_sweep, specs, self.session.cache
             )
         except ReproError as exc:
             raise RequestError(f"sweep expansion failed: {exc}") from None
 
+        total = len(plan.points)
         # admission control (§11 backpressure): refuse before simulating
-        if self._pending_points + len(points) > self.max_pending_points:
+        if self._pending_points + total > self.max_pending_points:
             raise OverloadError(
-                f"sweep expands to {len(points)} points but the server "
+                f"request expands to {total} points but the server "
                 f"already has {self._pending_points} pending of a "
                 f"{self.max_pending_points}-point budget; retry later "
                 f"or split the spec"
             )
-        self._pending_points += len(points)
-        self.stats.points_requested += len(points)
-        self.stats.verify_checks += len(verifications)
-        try:
-            await send(
-                event(
-                    "accepted",
-                    request.id,
-                    points=len(points),
-                    verifications=len(verifications),
-                )
-            )
-            req_stats = {
-                "points": len(points),
-                "simulated": 0,
-                "cache_hits": 0,
-                "peer_served": 0,
-                "coalesced": 0,
-                "verify_checks": len(verifications),
-                "verify_hits": 0,
-                "verify_simulated": 0,
-            }
-            results: List[Optional[Tuple[Measurement, str, bool]]] = [
-                None
-            ] * len(points)
-            done = 0
-            done_lock = asyncio.Lock()
+        self._pending_points += total
+        self.stats.points_requested += total
+        self.stats.verify_checks += plan.stats.verify_checks
 
-            source_keys = {
-                "simulated": "simulated",
-                "cache": "cache_hits",
-                "peer": "peer_served",
-                "coalesced": "coalesced",
-            }
+        indices: Dict[WorkKey, List[int]] = {}
+        for index in range(total):
+            indices.setdefault(plan.key(index), []).append(index)
+        sources: Dict[WorkKey, str] = {}
+        seq = 0
 
-            async def one_point(index: int, point: SweepPoint) -> None:
-                nonlocal done
-                measurement, source, cached = await self._obtain_point(point)
-                results[index] = (measurement, source, cached)
-                req_stats[source_keys[source]] += 1
-                async with done_lock:
-                    done += 1
-                    seq = done
+        async def settle(key: WorkKey, source: str) -> None:
+            nonlocal seq
+            sources[key] = source
+            if send is None:
+                return
+            time = plan.resolved[key][0].time
+            for index in indices[key]:
+                seq += 1
                 await send(
                     event(
                         "point",
-                        request.id,
+                        request_id,
                         seq=seq,
-                        total=len(points),
+                        total=total,
                         index=index,
-                        axes=point.axes,
+                        axes=plan.points[index].axes,
                         source=source,
-                        time=measurement.time,
+                        time=time,
                     )
                 )
 
-            async def one_verify(ver: _Verification) -> None:
-                outcome = await self._obtain_verify(ver)
-                if outcome == "cache":
-                    req_stats["verify_hits"] += 1
-                    self.stats.verify_hits += 1
-                elif outcome == "simulated":
-                    req_stats["verify_simulated"] += 2
-
+        try:
+            if send is not None:
+                await send(
+                    event(
+                        "accepted",
+                        request_id,
+                        points=total,
+                        verifications=plan.stats.verify_checks,
+                    )
+                )
             await asyncio.gather(
-                *(one_verify(v) for v in verifications),
-                *(one_point(i, p) for i, p in enumerate(points)),
+                *(settle(key, "cache") for key in list(plan.resolved)),
+                *(self._point(plan, key, settle) for key in plan.pending),
+                *(self._verification(plan, v) for v in plan.verifications),
             )
         finally:
-            self._pending_points -= len(points)
+            self._pending_points -= total
+            self.stats.simulations += plan.stats.simulated
+            self.stats.verify_simulations += plan.stats.verify_simulated
 
-        runs = []
-        for point, outcome in zip(points, results):
-            measurement, _source, cached = outcome
-            runs.append(
-                {
-                    "axes": point.axes,
-                    "cached": cached,
-                    "fingerprint": point.fingerprint,
-                    "measurement": measurement.to_dict(),
-                }
+        result = plan.result()
+        per_point = [sources[plan.key(i)] for i in range(total)]
+        extra = {
+            "peer_served": per_point.count("peer"),
+            "coalesced": per_point.count("coalesced"),
+        }
+        self.stats.cache_hits += result.stats.cache_hits
+        self.stats.peer_served += extra["peer_served"]
+        self.stats.coalesced += extra["coalesced"]
+        self.stats.verify_hits += result.stats.verify_hits
+        return result, extra
+
+    # ------------------------------------------------------ dedup layers
+
+    async def _point(self, plan: SweepPlan, key: WorkKey, settle) -> None:
+        """Resolve one pending point of ``plan`` and report its source
+        (``simulated``/``cache``/``peer``/``coalesced``)."""
+        point = plan.pending[key]
+
+        async def simulate():
+            run = await self._run_job(point.job(), plan.stats)
+            return plan.fold_run(key, run)
+
+        if point.fingerprint is None:  # externals: uncacheable
+            await simulate()
+            source = "simulated"
+        else:
+            measurement, source, cached = await self._once(
+                self._inflight,
+                point.fingerprint,
+                lambda cache: read_measurement(cache, key),
+                simulate,
             )
-        await send(
-            event(
-                "result",
-                request.id,
-                result={
-                    "engine": ENGINE_VERSION,
-                    "specs": [s.to_dict() for s in specs],
-                    "stats": req_stats,
-                    "runs": runs,
-                },
+            if source != "simulated":
+                plan.resolved[key] = (measurement, cached)
+        await settle(key, source)
+
+    async def _verification(self, plan: SweepPlan, ver) -> None:
+        """Resolve one pending equivalence check of ``plan`` (raises on
+        mismatch)."""
+
+        async def simulate():
+            original, transformed = await asyncio.gather(
+                self._run_job(ver.original_job, plan.stats),
+                self._run_job(ver.transformed_job, plan.stats),
             )
+            plan.fold_verification(ver, original, transformed)
+            return True
+
+        if ver.key is None:  # externals: uncacheable
+            await simulate()
+            return
+        _, source, _ = await self._once(
+            self._inflight_verify,
+            ver.key,
+            lambda cache: read_verdict(cache, ver.key),
+            simulate,
         )
+        if source == "cache":
+            plan.stats.verify_hits += 1
 
-    def _expand(
-        self, specs: List[SweepSpec]
-    ) -> Tuple[List[SweepPoint], List[_Verification]]:
-        """Expand + fingerprint every point (runs on a worker thread:
-        expansion transforms programs, which is CPU work the event loop
-        must not absorb)."""
-        points: List[SweepPoint] = []
-        verifications: List[_Verification] = []
-        for spec in specs:
-            pts, vers = expand_spec(spec)
-            points.extend(pts)
-            verifications.extend(vers)
-        for point in points:
-            point.fingerprint = (
-                job_fingerprint(point.job())
-                if point.externals is None
-                else None
-            )
-        return points, verifications
+    async def _once(self, inflight, key: str, probe, produce):
+        """Produce the cache entry ``key`` at most once across this
+        server (layer 2) and its peers (layer 3).
 
-    # ------------------------------------------------- point dedup core
-
-    async def _obtain_point(
-        self, point: SweepPoint
-    ) -> Tuple[Measurement, str, bool]:
-        """One measurement, deduplicated: ``(measurement, source,
-        cached)`` where ``source`` names the layer that produced it and
-        ``cached`` matches the :class:`~repro.harness.sweep.SweepRun`
-        flag a direct session sweep would report (served from the
-        shared cache rather than simulated by anyone this round)."""
-        fp = point.fingerprint
-        if fp is None:  # externals: uncacheable, uncoalesceable
-            run = await self._run_job(point.job())
-            self.stats.simulations += 1
-            return (
-                measurement_from_run(
-                    run,
-                    network=point.network,
-                    label=point.label,
-                    collective=point.collective,
-                ),
-                "simulated",
-                False,
-            )
-        holder = self._inflight.get(fp)
+        ``probe(cache)`` reads a finished entry (falsy on a miss);
+        ``produce()`` simulates and folds it.  Returns ``(value,
+        source, cached)``; ``cached`` is what a direct
+        :meth:`~repro.api.Session.sweep` would report: served from the
+        shared cache rather than simulated by anyone this round.
+        """
+        holder = inflight.get(key)
         if holder is not None:
-            # layer 2: subscribe to the in-flight identical simulation
-            self.stats.coalesced += 1
-            base, base_source = await holder
-            return (
-                dataclasses.replace(base, label=point.label),
-                "coalesced",
-                base_source in ("cache", "peer"),
-            )
+            # layer 2: subscribe to the in-flight identical work
+            value, cached = await holder  # raises if the owner failed
+            return value, "coalesced", cached
+        cache = self.session.cache
+        # re-probe with no await since the holder check: the plan
+        # probed on a worker thread, and an owner that finished since
+        # has put its entry before leaving ``inflight``
+        value = probe(cache) if cache is not None else None
+        if value:
+            return value, "cache", True
         future = self._loop.create_future()
-        self._inflight[fp] = future
+        inflight[key] = future
+        source = "simulated"
         try:
-            base, source = await self._materialize(point, fp)
+            claimed = cache is not None and cache.claim(key)
+            if cache is not None and not claimed:
+                # layer 3: a peer process claimed this entry
+                value = await self._await_peer(cache, key, probe)
+                if value:
+                    source = "peer"
+                else:
+                    # peer crashed or stalled: take over (an unclaimed
+                    # duplicate simulation is still correct)
+                    claimed = cache.claim(key)
+            if not value:
+                try:
+                    value = await produce()
+                except BaseException:
+                    if claimed:
+                        cache.release(key)
+                    raise
         except BaseException as exc:
-            self._inflight.pop(fp, None)
             future.set_exception(exc)
             future.exception()  # a lone holder must not warn on GC
             raise
-        future.set_result((base, source))
-        self._inflight.pop(fp, None)
-        return (
-            dataclasses.replace(base, label=point.label),
-            source,
-            source in ("cache", "peer"),
-        )
+        finally:
+            inflight.pop(key, None)
+        cached = source != "simulated"
+        future.set_result((value, cached))
+        return value, source, cached
 
-    async def _materialize(
-        self, point: SweepPoint, fp: str
-    ) -> Tuple[Measurement, str]:
-        """Produce the base (label-less) measurement for ``fp`` via the
-        cheapest layer: cache entry, a claiming peer's entry, or a
-        simulation of our own (claimed cross-process first)."""
-        cache = self.session.cache
-        claimed = False
-        if cache is not None:
-            measurement = self._from_cache(cache, fp)
-            if measurement is not None:
-                self.stats.cache_hits += 1
-                return measurement, "cache"
-            claimed = cache.claim(fp)
-            if not claimed:
-                # layer 3: a peer process claimed this fingerprint
-                measurement = await self._await_peer(cache, fp)
-                if measurement is not None:
-                    self.stats.peer_served += 1
-                    return measurement, "peer"
-                # peer crashed or stalled: take over (an unclaimed
-                # duplicate simulation is still correct, just wasteful)
-                claimed = cache.claim(fp)
-        try:
-            run = await self._run_job(
-                dataclasses.replace(point.job(), label="")
-            )
-        except BaseException:
-            if claimed:
-                cache.release(fp)
-            raise
-        self.stats.simulations += 1
-        measurement = measurement_from_run(
-            run, network=point.network, collective=point.collective
-        )
-        if cache is not None:
-            cache.put(
-                fp,
-                {
-                    "kind": "measurement",
-                    "inputs": dict(point.axes),
-                    "measurement": measurement.to_dict(),
-                },
-            )
-        return measurement, "simulated"
-
-    def _from_cache(
-        self, cache: SweepCache, fp: str
-    ) -> Optional[Measurement]:
-        payload = cache.get(fp)
-        if payload is None or payload.get("kind") != "measurement":
-            return None
-        try:
-            measurement = Measurement.from_dict(payload["measurement"])
-        except (TypeError, ValueError, KeyError):
-            cache.stats.corrupt += 1
-            return None
-        cache.stats.hits += 1
-        return measurement
-
-    async def _await_peer(
-        self, cache: SweepCache, fp: str
-    ) -> Optional[Measurement]:
+    async def _await_peer(self, cache: SweepCache, key: str, probe):
         """Async twin of :meth:`SweepCache.wait_for`: poll for the
         claiming peer's entry without blocking the event loop."""
         deadline = self._loop.time() + self.peer_wait_timeout
         while True:
-            measurement = self._from_cache(cache, fp)
-            if measurement is not None:
-                return measurement
-            if not cache.claim_live(fp):
-                return self._from_cache(cache, fp)
+            value = probe(cache)
+            if value:
+                return value
+            if not cache.claim_live(key):
+                return probe(cache)
             if self._loop.time() >= deadline:
                 return None
-            await asyncio.sleep(self.peer_poll)
-
-    # ------------------------------------------------- verification core
-
-    async def _obtain_verify(self, ver: _Verification) -> str:
-        """Satisfy one §4 equivalence check; raises on mismatch.
-        Returns which layer satisfied it (``cache``/``peer``/
-        ``coalesced``/``simulated``)."""
-        key = ver.key
-        cache = self.session.cache
-        if key is None or cache is None:
-            await self._run_verification(ver, None, False)
-            return "simulated"
-        if self._verdict_cached(cache, key):
-            ver.prepared.equivalent = True
-            cache.stats.verify_hits += 1
-            return "cache"
-        holder = self._inflight_verify.get(key)
-        if holder is not None:
-            await holder  # raises if the running check failed
-            ver.prepared.equivalent = True
-            return "coalesced"
-        future = self._loop.create_future()
-        self._inflight_verify[key] = future
-        try:
-            claimed = cache.claim(key)
-            if not claimed:
-                landed = await self._await_verify_peer(cache, key)
-                if landed:
-                    ver.prepared.equivalent = True
-                    future.set_result(True)
-                    self._inflight_verify.pop(key, None)
-                    return "peer"
-                claimed = cache.claim(key)
-            await self._run_verification(ver, cache if claimed else None, key)
-        except BaseException as exc:
-            self._inflight_verify.pop(key, None)
-            future.set_exception(exc)
-            future.exception()
-            raise
-        future.set_result(True)
-        self._inflight_verify.pop(key, None)
-        return "simulated"
-
-    async def _run_verification(
-        self, ver: _Verification, cache, key
-    ) -> None:
-        try:
-            run_a, run_b = await asyncio.gather(
-                self._run_job(ver.original_job),
-                self._run_job(ver.transformed_job),
-            )
-            self.stats.verify_simulations += 2
-            ver.prepared.check_equivalence(run_a, run_b)  # raises
-        except BaseException:
-            if cache is not None and key:
-                cache.release(key)
-            raise
-        if cache is not None and key:
-            cache.put(
-                key,
-                {
-                    "kind": "verify",
-                    "equivalent": True,
-                    "app": ver.prepared.app.name,
-                    "nranks": ver.prepared.app.nranks,
-                },
-            )
-
-    @staticmethod
-    def _verdict_cached(cache: SweepCache, key: str) -> bool:
-        payload = cache.get(key)
-        return (
-            payload is not None
-            and payload.get("kind") == "verify"
-            and payload.get("equivalent") is True
-        )
-
-    async def _await_verify_peer(self, cache: SweepCache, key: str) -> bool:
-        deadline = self._loop.time() + self.peer_wait_timeout
-        while True:
-            if self._verdict_cached(cache, key):
-                return True
-            if not cache.claim_live(key):
-                return self._verdict_cached(cache, key)
-            if self._loop.time() >= deadline:
-                return False
             await asyncio.sleep(self.peer_poll)
 
     # ----------------------------------------------- compare and verify
@@ -855,11 +740,11 @@ class SweepServer:
         """Run a :func:`repro.tune.tune` search server-side.
 
         The search loop itself runs on a worker thread (it is ordinary
-        blocking orchestration), but every candidate evaluation is
-        routed back onto the event loop through :meth:`_tune_round` —
-        i.e. through :meth:`_obtain_point` — so tune evaluations enjoy
-        the same three-layer dedup as sweep points and coalesce with
-        any concurrent client measuring the same fingerprints.
+        blocking orchestration), but every evaluation round is routed
+        back onto the event loop through :meth:`_sweep`, so tune
+        evaluations enjoy the same three-layer dedup as sweep points
+        and coalesce with any concurrent client measuring the same
+        fingerprints.
         """
         from ..errors import TuneError
         from ..tune.driver import tune as run_tune
@@ -937,8 +822,8 @@ class SweepServer:
             # called on the driver's worker thread; hop each round back
             # onto the event loop where the dedup machinery lives
             return asyncio.run_coroutine_threadsafe(
-                self._tune_round(specs), loop
-            ).result()
+                self._sweep(specs), loop
+            ).result()[0]
 
         def on_step(step) -> None:
             asyncio.run_coroutine_threadsafe(
@@ -968,61 +853,6 @@ class SweepServer:
             "steps": [s.to_dict() for s in result.trajectory.steps],
         }
         await send(event("result", request.id, result=payload))
-
-    async def _tune_round(self, specs: List[SweepSpec]):
-        """One tune evaluation round as a ``SweepResult``, every point
-        going through :meth:`_obtain_point` (all three dedup layers)."""
-        from ..harness.sweep import SweepResult, SweepRun, SweepStats
-
-        specs = [
-            s
-            if s.engine_mode is not None
-            else dataclasses.replace(s, engine_mode=self.session.engine_mode)
-            for s in specs
-        ]
-        points, verifications = await asyncio.to_thread(self._expand, specs)
-        if self._pending_points + len(points) > self.max_pending_points:
-            raise OverloadError(
-                f"tune round expands to {len(points)} points but the "
-                f"server already has {self._pending_points} pending of "
-                f"a {self.max_pending_points}-point budget"
-            )
-        self._pending_points += len(points)
-        self.stats.points_requested += len(points)
-        self.stats.verify_checks += len(verifications)
-        stats = SweepStats(points=len(points))
-        try:
-            outcomes = await asyncio.gather(
-                *(self._obtain_point(p) for p in points)
-            )
-            for ver in verifications:
-                outcome = await self._obtain_verify(ver)
-                if outcome == "cache":
-                    self.stats.verify_hits += 1
-                    stats.verify_hits += 1
-                elif outcome == "simulated":
-                    stats.verify_simulated += 2
-                stats.verify_checks += 1
-        finally:
-            self._pending_points -= len(points)
-        runs: List[Any] = []
-        for point, (measurement, source, cached) in zip(points, outcomes):
-            if source == "simulated":
-                stats.simulated += 1
-            elif cached:
-                stats.cache_hits += 1
-            else:
-                stats.deduplicated += 1
-            runs.append(
-                SweepRun(
-                    axes=point.axes,
-                    measurement=measurement,
-                    cached=cached,
-                    fingerprint=point.fingerprint,
-                    transform=point.transform,
-                )
-            )
-        return SweepResult(runs=runs, stats=stats, specs=list(specs))
 
     # --------------------------------------------------- status/shutdown
 
@@ -1117,25 +947,21 @@ class ThreadedServer:
     def stop(self, *, drain: bool = True, timeout: float = 60.0) -> None:
         if self._loop is None or self.server is None:
             return
-        if self._loop.is_closed():
-            # a client's shutdown verb (or a signal) already stopped the
-            # server and its loop; stop() stays idempotent
-            self._thread.join(timeout)
-            self._loop = None
-            return
-        try:
-            future = asyncio.run_coroutine_threadsafe(
-                self.server.shutdown(drain=drain), self._loop
-            )
-        except RuntimeError:  # loop closed between the check and the call
-            self._thread.join(timeout)
-            self._loop = None
-            return
-        try:
-            future.result(timeout)
-        finally:
-            self._thread.join(timeout)
-            self._loop = None
+        # A client's shutdown verb (or a signal) may already be stopping
+        # the server.  Its loop then winds down and can drop a second
+        # shutdown scheduled now, so completion is read from the host
+        # thread ending, never from that coroutine's future.
+        if not self.server._draining:
+            try:
+                asyncio.run_coroutine_threadsafe(
+                    self.server.shutdown(drain=drain), self._loop
+                )
+            except RuntimeError:  # the loop closed since the check
+                pass
+        self._thread.join(timeout)
+        self._loop = None
+        if self._thread.is_alive():
+            raise TimeoutError(f"sweep server still running after {timeout}s")
 
     def __enter__(self) -> "ThreadedServer":
         return self.start()

@@ -9,7 +9,6 @@ import pytest
 from repro import Job, Session
 from repro.apps import build_app
 from repro.harness.runner import measure, run_pair
-from repro.harness.sweep import SweepSpec, run_sweep
 from repro.interp.runner import run_cluster
 from tests.programs import direct_2d
 
@@ -55,22 +54,3 @@ def test_run_pair_warns_and_matches_session(session):
     assert legacy.original.to_dict() == new.original.to_dict()
     assert legacy.prepush.to_dict() == new.prepush.to_dict()
     assert legacy.speedup == new.speedup
-
-
-def test_run_sweep_warns_and_matches_session(tmp_path):
-    spec = SweepSpec(
-        name="shim-sweep",
-        app="fft",
-        app_kwargs={"n": 32, "steps": 1, "stages": 2},
-        nranks=(NRANKS,),
-        networks=("gmnet",),
-    )
-    with pytest.warns(DeprecationWarning, match="run_sweep"):
-        legacy = run_sweep(spec, cache=tmp_path / "a")
-    new = Session(cache_dir=tmp_path / "b").sweep(spec)
-    assert [r.measurement.to_dict() for r in legacy.runs] == [
-        r.measurement.to_dict() for r in new.runs
-    ]
-    assert [r.fingerprint for r in legacy.runs] == [
-        r.fingerprint for r in new.runs
-    ]

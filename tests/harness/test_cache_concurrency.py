@@ -10,6 +10,7 @@ entry.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 
@@ -224,3 +225,27 @@ def test_put_race_is_atomic(tmp_path, nwriters):
         t.join()
     payload = cache.get(key)
     assert payload is not None and payload["value"] in range(nwriters)
+
+
+def test_stats_counts_are_not_lost_across_threads(tmp_path):
+    """A sweep server probes the cache from worker threads while its
+    event loop stores: concurrent counts must all land."""
+    cache = SweepCache(tmp_path)
+    per_thread, nthreads = 2000, 8
+
+    def counter():
+        for _ in range(per_thread):
+            cache.count("hits")
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=counter) for _ in range(nthreads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert cache.stats.hits == per_thread * nthreads

@@ -12,6 +12,7 @@ import json
 import pytest
 
 import repro.interp.runner as interp_runner
+from repro.api import Session
 from repro.errors import ReproError, SimulationError
 from repro.harness.runner import Measurement
 from repro.harness.sweep import (
@@ -19,7 +20,6 @@ from repro.harness.sweep import (
     SweepSpec,
     collective_label,
     expand_spec,
-    run_sweep,
 )
 from repro.interp.runner import ClusterJob, job_fingerprint
 from repro.runtime.costmodel import DEFAULT_COST_MODEL
@@ -115,14 +115,14 @@ class TestJobFingerprint:
 class TestSweepCacheAccounting:
     def test_cold_then_warm(self, tmp_path):
         cache = SweepCache(tmp_path / "c")
-        cold = run_sweep(tiny_spec(), cache=cache)
+        cold = Session(cache_dir=cache).sweep(tiny_spec())
         assert cold.stats.simulated > 0
         assert cache.stats.hits == 0
         assert cache.stats.misses > 0
         assert cache.stats.stores == cache.stats.misses
 
         warm_cache = SweepCache(tmp_path / "c")
-        warm = run_sweep(tiny_spec(), cache=warm_cache)
+        warm = Session(cache_dir=warm_cache).sweep(tiny_spec())
         assert warm.stats.total_simulated == 0
         assert warm.stats.mode == "none"
         assert warm_cache.stats.misses == 0
@@ -130,8 +130,8 @@ class TestSweepCacheAccounting:
 
     def test_warm_run_is_bit_identical(self, tmp_path):
         spec = tiny_spec(networks=("gmnet", "hostnet"), verify=True)
-        cold = run_sweep(spec, cache=tmp_path / "c")
-        warm = run_sweep(spec, cache=tmp_path / "c")
+        cold = Session(cache_dir=tmp_path / "c").sweep(spec)
+        warm = Session(cache_dir=tmp_path / "c").sweep(spec)
         assert warm.stats.simulated == 0
         for a, b in zip(cold.runs, warm.runs):
             assert a.axes == b.axes
@@ -140,14 +140,14 @@ class TestSweepCacheAccounting:
     def test_no_cache_bypass(self, tmp_path):
         # a populated cache must be ignored when caching is disabled
         cache = SweepCache(tmp_path / "c")
-        run_sweep(tiny_spec(), cache=cache)
-        bypass = run_sweep(tiny_spec(), cache=None)
+        Session(cache_dir=cache).sweep(tiny_spec())
+        bypass = Session(cache_dir=None).sweep(tiny_spec())
         assert bypass.stats.simulated > 0
         assert bypass.stats.cache_hits == 0
 
     def test_corrupt_entry_falls_back_to_simulation(self, tmp_path):
         cache = SweepCache(tmp_path / "c")
-        cold = run_sweep(tiny_spec(), cache=cache)
+        cold = Session(cache_dir=cache).sweep(tiny_spec())
         reference = {tuple(r.axes.items()): r.measurement for r in cold.runs}
 
         entries = sorted((tmp_path / "c").rglob("*.json"))
@@ -155,58 +155,60 @@ class TestSweepCacheAccounting:
         entries[0].write_text("{ not json", encoding="utf-8")
 
         recovered_cache = SweepCache(tmp_path / "c")
-        recovered = run_sweep(tiny_spec(), cache=recovered_cache)
+        recovered = Session(cache_dir=recovered_cache).sweep(tiny_spec())
         assert recovered_cache.stats.corrupt == 1
         assert recovered.stats.simulated == 1  # only the corrupted entry
         for r in recovered.runs:
             assert r.measurement == reference[tuple(r.axes.items())]
         # the re-simulation healed the entry
         healed = SweepCache(tmp_path / "c")
-        assert run_sweep(tiny_spec(), cache=healed).stats.simulated == 0
+        healed_res = Session(cache_dir=healed).sweep(tiny_spec())
+        assert healed_res.stats.simulated == 0
 
     def test_wrong_kind_payload_is_not_trusted(self, tmp_path):
         cache = SweepCache(tmp_path / "c")
-        cold = run_sweep(tiny_spec(), cache=cache)
+        cold = Session(cache_dir=cache).sweep(tiny_spec())
         # rewrite every measurement entry as a foreign payload kind
         for path in (tmp_path / "c").rglob("*.json"):
             payload = json.loads(path.read_text())
             payload["kind"] = "something-else"
             path.write_text(json.dumps(payload))
-        again = run_sweep(tiny_spec(), cache=SweepCache(tmp_path / "c"))
+        again_cache = SweepCache(tmp_path / "c")
+        again = Session(cache_dir=again_cache).sweep(tiny_spec())
         assert again.stats.simulated == cold.stats.simulated
 
     def test_axis_change_is_a_miss(self, tmp_path):
         cache_dir = tmp_path / "c"
-        run_sweep(tiny_spec(), cache=cache_dir)
+        Session(cache_dir=cache_dir).sweep(tiny_spec())
         for changed in (
             tiny_spec(networks=("hostnet",)),
             tiny_spec(nranks=(2,)),
             tiny_spec(cpu_scales=(2.0,)),
             tiny_spec(collectives=({"alltoall": "bruck"},)),
         ):
-            res = run_sweep(changed, cache=cache_dir)
+            res = Session(cache_dir=cache_dir).sweep(changed)
             assert res.stats.cache_hits == 0, changed
             assert res.stats.simulated > 0, changed
 
     def test_engine_version_bump_invalidates(self, tmp_path, monkeypatch):
         cache_dir = tmp_path / "c"
-        run_sweep(tiny_spec(), cache=cache_dir)
+        Session(cache_dir=cache_dir).sweep(tiny_spec())
         monkeypatch.setattr(interp_runner, "ENGINE_VERSION", "999-test")
-        res = run_sweep(tiny_spec(), cache=cache_dir)
+        res = Session(cache_dir=cache_dir).sweep(tiny_spec())
         assert res.stats.cache_hits == 0
         assert res.stats.simulated > 0
 
     def test_verification_is_cached(self, tmp_path):
         spec = tiny_spec(verify=True)
         cache = SweepCache(tmp_path / "c")
-        cold = run_sweep(spec, cache=cache)
+        cold = Session(cache_dir=cache).sweep(spec)
         assert cold.stats.verify_checks == 1
         assert cold.stats.verify_hits == 0
         # measurement and verification simulations are accounted apart
         assert cold.stats.simulated == 2  # original + prepush on gmnet
         assert cold.stats.verify_simulated == 2  # the two ideal runs
         warm_cache = SweepCache(tmp_path / "c")
-        warm = run_sweep(spec, cache=warm_cache)
+        warm = Session(cache_dir=warm_cache).sweep(spec)
         assert warm.stats.verify_hits == 1
         assert warm.stats.total_simulated == 0
 
@@ -214,14 +216,14 @@ class TestSweepCacheAccounting:
 class TestSweepEngine:
     def test_fingerprint_dedupe_within_a_run(self):
         # the untransformed baseline is the same program at every K
-        res = run_sweep(tiny_spec(tile_sizes=(1, 2, 4)))
+        res = Session().sweep(tiny_spec(tile_sizes=(1, 2, 4)))
         assert res.stats.deduplicated == 2
         originals = res.select(variant="original")
         assert len({r.fingerprint for r in originals}) == 1
         assert len({id(r.measurement) for r in originals}) == 3  # per-point
 
     def test_select_and_get(self):
-        res = run_sweep(tiny_spec(networks=("gmnet", "hostnet")))
+        res = Session().sweep(tiny_spec(networks=("gmnet", "hostnet")))
         assert len(res.select(variant="prepush")) == 2
         m = res.measurement(variant="prepush", network="mpich-gm")
         assert m.time > 0
@@ -231,7 +233,7 @@ class TestSweepEngine:
             res.get(variant="prepush", network="nope")
 
     def test_transform_attached_to_both_variants(self):
-        res = run_sweep(tiny_spec())
+        res = Session().sweep(tiny_spec())
         for run in res.runs:
             assert run.transform is not None
             assert run.transform.sites[0].tile_size == 4
@@ -246,18 +248,18 @@ class TestSweepEngine:
             verify=True,
         )
         cache = SweepCache(tmp_path / "c")
-        res = run_sweep(spec, cache=cache)
+        res = Session(cache_dir=cache).sweep(spec)
         assert res.stats.uncacheable == len(res.runs)
         assert all(r.fingerprint is None for r in res.runs)
         assert all(not r.cached for r in res.runs)
         # nothing was stored, so the second run simulates again
-        again = run_sweep(spec, cache=SweepCache(tmp_path / "c"))
+        again = Session(cache_dir=SweepCache(tmp_path / "c")).sweep(spec)
         assert again.stats.simulated == res.stats.simulated
         for a, b in zip(res.runs, again.runs):
             assert a.measurement == b.measurement
 
     def test_measurement_roundtrip(self):
-        res = run_sweep(tiny_spec())
+        res = Session().sweep(tiny_spec())
         m = res.runs[0].measurement
         assert Measurement.from_dict(m.to_dict()) == m
         with pytest.raises(ValueError, match="fields"):
@@ -270,8 +272,8 @@ class TestSweepEngine:
     def test_spec_json_roundtrip(self):
         spec = tiny_spec(collectives=({"alltoall": "bruck"},))
         clone = SweepSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
-        a = run_sweep(spec)
-        b = run_sweep(clone)
+        a = Session().sweep(spec)
+        b = Session().sweep(clone)
         for ra, rb in zip(a.runs, b.runs):
             assert ra.axes == rb.axes
             assert ra.measurement == rb.measurement

@@ -8,6 +8,7 @@ the pipeline or any option can never serve a stale entry.
 
 import pytest
 
+from repro.api import Session
 from repro.errors import ReproError
 from repro.harness.figures import ablation_variants
 from repro.harness.sweep import SweepCache, SweepSpec, expand_spec
@@ -152,7 +153,6 @@ class TestWarmVariantCache:
     def test_reregistered_pipeline_invalidates_entries(self, tmp_path):
         """Overwriting a variant with a differently-shaped pipeline
         changes the cache keys: the old entries cannot be served."""
-        from repro.harness.sweep import run_sweep
         from repro.transform.pipeline import (
             _VARIANTS,
             register_variant,
@@ -164,10 +164,7 @@ class TestWarmVariantCache:
         )
         try:
             cache = SweepCache(tmp_path / "c")
-            with pytest.warns(DeprecationWarning):
-                cold = run_sweep(
-                    spec(variants=(name,)), cache=cache
-                )
+            cold = Session(cache_dir=cache).sweep(spec(variants=(name,)))
             assert cold.stats.simulated > 0
             register_variant(
                 name,
@@ -176,10 +173,7 @@ class TestWarmVariantCache:
                 ),
                 overwrite=True,
             )
-            with pytest.warns(DeprecationWarning):
-                redo = run_sweep(
-                    spec(variants=(name,)), cache=cache
-                )
+            redo = Session(cache_dir=cache).sweep(spec(variants=(name,)))
             # same axes, different pipeline identity -> re-simulated
             assert redo.stats.simulated > 0
             assert redo.stats.cache_hits == 0

@@ -9,6 +9,7 @@ ships them.
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
 import json
 import socket
@@ -22,7 +23,7 @@ from repro.errors import OverloadError, RequestError, ServeError
 from repro.harness.runner import measurement_from_run
 from repro.harness.sweep import SweepCache, SweepSpec, expand_spec
 from repro.interp.runner import execute_job, job_fingerprint
-from repro.serve import ServeClient, ThreadedServer
+from repro.serve import AsyncServeClient, ServeClient, ThreadedServer
 from repro.serve.protocol import PROTOCOL_VERSION, encode_message
 
 
@@ -371,3 +372,48 @@ class TestBackpressureAndLifecycle:
         t.join(timeout=30)
         # the in-flight request completed despite the drain
         assert done["result"]["stats"]["points"] == 2
+
+
+class TestSessionParity:
+    def test_cache_stats_match_session(self, tmp_path):
+        """The server plans through the same stage as Session.sweep, so
+        a cold then warm verified sweep counts the same cache hits,
+        misses, stores and verdicts either way."""
+        spec = tiny_spec(verify=True)
+        with Session(cache_dir=tmp_path / "direct") as session:
+            session.sweep(spec)
+            session.sweep(spec)
+        with ThreadedServer(cache_dir=tmp_path / "served") as ts:
+            with ServeClient(port=ts.port) as client:
+                client.sweep(spec)
+                client.sweep(spec)
+                served = client.status()["cache"]
+        assert session.cache.stats.misses == 2
+        assert session.cache.stats.verify_misses == 1
+        assert served == vars(session.cache.stats)
+
+
+class TestAsyncClient:
+    def test_sweep_status_close(self, served):
+        ts, _ = served
+        events = []
+
+        async def drive():
+            client = await AsyncServeClient.connect(port=ts.port)
+            try:
+                result = await client.sweep(
+                    tiny_spec(), on_event=events.append
+                )
+                status = await client.status()
+            finally:
+                await client.close()
+            return result, status
+
+        result, status = asyncio.run(drive())
+        assert events[0]["event"] == "accepted"
+        points = [e for e in events if e["event"] == "point"]
+        assert [p["seq"] for p in points] == [1, 2]
+        assert result["stats"]["simulated"] == 2
+        assert len(result["runs"]) == 2
+        assert status["stats"]["sweeps"] == 1
+        assert status["stats"]["simulations"] == 2
