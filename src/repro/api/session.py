@@ -13,11 +13,12 @@ reachable through one object::
 
 A Session resolves registry *names* (network scenario, collective
 algorithms) exactly once, at construction; owns the content-addressed
-:class:`~repro.harness.sweep.SweepCache`; and lazily creates one
-persistent process pool reused by every :meth:`run_many` / :meth:`sweep`
-call.  That amortization is what makes the library embeddable in a
-long-lived server: per-request cost is the simulation itself, not
-registry lookups or pool startup.
+:class:`~repro.harness.sweep.SweepCache` and an in-memory memo of
+transformations; and lazily creates one persistent process pool reused
+by every :meth:`run_many` / :meth:`sweep` call.  That amortization is
+what makes the library embeddable in a long-lived server: per-request
+cost is the simulation itself, not registry lookups, re-transforming
+or pool startup.
 
 The legacy kwargs entry points (``run_cluster``, ``measure``,
 ``run_pair``) survive as deprecation shims delegating to
@@ -42,6 +43,7 @@ from ..harness.sweep import (
     SweepSpec,
     _as_cache,
     _execute_sweep,
+    _TransformMemo,
 )
 from ..interp.runner import (
     ClusterJob,
@@ -120,11 +122,15 @@ class Session:
     :class:`~repro.api.Job` naming its own network) are resolved per
     call, against the registries as they are then.
 
-    The session owns two amortized resources: the sweep cache
-    (:attr:`cache`, shared by every :meth:`sweep` call) and a lazily
+    The session owns three amortized resources: the sweep cache
+    (:attr:`cache`, shared by every :meth:`sweep` call); a lazily
     created persistent process pool (when ``jobs`` > 1), reused across
     :meth:`run_many`/:meth:`sweep` calls and released by :meth:`close`
-    or the context-manager exit.
+    or the context-manager exit; and a bounded in-memory memo of
+    transformations, so a sweep or tune search that revisits an (app,
+    variant, options) combination skips the transform pipeline
+    (DESIGN.md §7.3).  :meth:`transform` and :meth:`prepare` bypass the
+    memo and return a fresh AST per call.
     """
 
     def __init__(
@@ -150,6 +156,7 @@ class Session:
         self.seed: Optional[int] = context.seed
         self._executor = None
         self._executor_failed = False
+        self._transforms = _TransformMemo()
 
     # ------------------------------------------------------- resources
 
@@ -431,9 +438,10 @@ class Session:
     def sweep(
         self, specs: Union[SweepSpec, Sequence[SweepSpec]]
     ) -> SweepResult:
-        """Run declarative sweep specs through this session's cache and
-        pool (see :mod:`repro.harness.sweep`).  A warm cache performs
-        zero simulations; repeated calls reuse the same pool.
+        """Run declarative sweep specs through this session's cache,
+        transform memo and pool (see :mod:`repro.harness.sweep`).  A
+        warm cache performs zero simulations; repeated calls reuse the
+        same pool and skip transformations the memo already holds.
 
         Specs that leave ``engine_mode`` unset (``None``) inherit the
         session's; a spec naming its own mode keeps it.  Either way the
@@ -444,6 +452,7 @@ class Session:
             jobs=self._processes(),
             cache=self.cache,
             executor=executor,
+            memo=self._transforms,
         )
 
     def _bind_specs(

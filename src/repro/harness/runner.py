@@ -24,7 +24,12 @@ from ..runtime.collectives import CollectiveSpec, describe_suite, resolve_suite
 from ..runtime.costmodel import DEFAULT_COST_MODEL, CostModel
 from ..runtime.network import NetworkModel, resolve_model
 from ..transform.options import TransformOptions, fold_legacy_options
-from ..transform.pipeline import Pipeline, resolve_variant, variant_label
+from ..transform.pipeline import (
+    Pipeline,
+    PipelineReport,
+    resolve_variant,
+    variant_label,
+)
 from ..transform.prepush import TransformReport
 from ..verify import compare_runs
 
@@ -223,7 +228,10 @@ class PreparedApp:
     per-pass chain and intermediate snapshots are inspectable on every
     prepared workload (``snapshots=False`` skips capturing the
     intermediate texts — the sweep engine does this, since it prepares
-    one app per axis combination and reads none of them).
+    one app per axis combination and reads none of them).  ``report``
+    adopts a finished run of ``variant`` over ``app.source`` with
+    ``options`` instead of running the pipeline again (the sweep engine
+    passes memoized runs, DESIGN.md §7.3).
 
     Variants marked ``partial`` (e.g. ``tile-only`` on an indirect
     workload) may legitimately leave the program unchanged and are
@@ -247,6 +255,7 @@ class PreparedApp:
         variant: Union[str, Pipeline] = "prepush",
         allow_unchanged: Optional[bool] = None,
         snapshots: bool = True,
+        report: Optional[PipelineReport] = None,
     ) -> None:
         options = fold_legacy_options(
             options, tile_size, interchange, exc=ReproError
@@ -255,9 +264,11 @@ class PreparedApp:
         self.cost_model = cost_model
         self.options = options
         self.variant = resolve_variant(variant)
-        self.transform = self.variant.run(
-            app.source, options, oracle=app.oracle, snapshots=snapshots
-        )
+        if report is None:
+            report = self.variant.run(
+                app.source, options, oracle=app.oracle, snapshots=snapshots
+            )
+        self.transform = report
         if allow_unchanged is None:
             allow_unchanged = self.variant.partial or self.variant.empty
         if not self.transform.changed:

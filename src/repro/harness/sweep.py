@@ -8,7 +8,8 @@ nested loops.  This module separates the *experiment spec* from the
 
 * :class:`SweepSpec` names the axes; :func:`expand_spec` expands the
   cross-product into :class:`SweepPoint`\\ s (transforming each workload
-  once per tile/interchange choice, not once per point);
+  once per tile/interchange choice, not once per point, and not at all
+  when the session's transform memo already holds that run);
 * :func:`plan_sweep` fingerprints the points, deduplicates those whose
   content fingerprints coincide (e.g. the untransformed baseline of a
   tile-size sweep) and probes the cache; the rest run through the
@@ -37,6 +38,7 @@ import os
 import tempfile
 import threading
 import time
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -57,7 +59,7 @@ try:  # POSIX advisory locks; Windows degrades to O_EXCL-only claims
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
-from ..apps import build_app
+from ..apps import AppSpec, build_app
 from ..errors import ReproError
 from ..interp.runner import (
     ClusterJob,
@@ -78,6 +80,7 @@ from ..runtime.simulator import ENGINE_VERSION
 from ..transform.options import TransformOptions
 from ..transform.pipeline import (
     Pipeline,
+    PipelineReport,
     list_variants,
     resolve_variant,
     variant_identity,
@@ -325,6 +328,9 @@ class SweepPoint:
     externals: Any = None
     transform: Optional[TransformReport] = None
     fingerprint: Optional[str] = None  # None = uncacheable (externals)
+    #: ``program`` as source text when it is an AST whose text is
+    #: already known, so fingerprinting skips one unparse per point
+    text: Optional[str] = None
     #: transformation provenance (pipeline identity + options) of
     #: transformed points; None for the untransformed baseline
     variant_id: Optional[Dict[str, Any]] = None
@@ -708,9 +714,10 @@ def _as_cache(
 
 
 def _verification_key(
-    prepared: PreparedApp, cost_model: CostModel
+    prepared: PreparedApp, text: Optional[str], cost_model: CostModel
 ) -> Optional[str]:
-    """Content-address of one equivalence check (None = uncacheable).
+    """Content-address of one equivalence check (None = uncacheable);
+    ``text`` is the transformed program's source text.
 
     The §4 verdict is a pure function of the two program texts, the rank
     count, and the cost model under one engine version — the same §3.2
@@ -722,7 +729,7 @@ def _verification_key(
         "kind": "verify",
         "engine": ENGINE_VERSION,
         "original": prepared.app.source,
-        "transformed": prepared.transform.unparse(),
+        "transformed": text,
         "nranks": prepared.app.nranks,
         "cost": cost_model.canonical_params(),
         "skip": sorted(prepared.transform.dead_arrays),
@@ -733,9 +740,82 @@ def _verification_key(
 
 # ------------------------------------------------------------ expansion
 
+#: pipeline runs one session's transform memo keeps; the least recently
+#: used is evicted first
+TRANSFORM_MEMO_SIZE = 64
+
+
+class _TransformMemo:
+    """Bounded, thread-safe memo of pipeline runs (DESIGN.md §7.3).
+
+    Maps (untransformed program text, the pipeline object and its
+    identity, the options) to the
+    :class:`~repro.transform.pipeline.PipelineReport` and its unparsed
+    text, so a repeated expansion skips ``parse``, analysis and every
+    pass.  It sits in front of :meth:`Pipeline.run` — which still
+    returns a fresh AST per call — and lives in memory only: the stored
+    reports and ASTs are shared read-only by every point they produce.
+    Keying on the pipeline object as well as its identity keeps a
+    re-registered variant or a reconfigured pass from hitting an old
+    entry.  Expansion always runs with the default alltoall call names,
+    so they are a constant of the memo rather than part of its key.
+    """
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def run(
+        self, pipeline: Pipeline, source: str, options: TransformOptions
+    ) -> Tuple[PipelineReport, str]:
+        """The memoized ``pipeline.run(source, options)`` and its text."""
+        key = (
+            source,
+            pipeline,
+            json.dumps(
+                [pipeline.identity(), options.canonical_params()],
+                sort_keys=True,
+            ),
+        )
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                return entry
+        report = pipeline.run(source, options, snapshots=False)
+        entry = (report, report.unparse())
+        with self._lock:
+            # a thread that lost a race adopts the winner's entry
+            entry = self._entries.setdefault(key, entry)
+            self._entries.move_to_end(key)
+            while len(self._entries) > TRANSFORM_MEMO_SIZE:
+                self._entries.popitem(last=False)
+        return entry
+
+
+def _transform(
+    app: AppSpec,
+    pipeline: Pipeline,
+    options: TransformOptions,
+    memo: Optional[_TransformMemo],
+) -> Tuple[PipelineReport, Optional[str]]:
+    """One pipeline run over ``app`` and its unparsed text (``None``
+    for apps with externals, which are never fingerprinted).  An app
+    carrying an oracle or externals — opaque Python objects no memo
+    key can capture — always runs afresh."""
+    if memo is not None and app.oracle is None and app.externals is None:
+        return memo.run(pipeline, app.source, options)
+    # nothing in the sweep reads intermediate texts; skip one unparse
+    # per pass per point
+    report = pipeline.run(
+        app.source, options, oracle=app.oracle, snapshots=False
+    )
+    return report, None if app.externals is not None else report.unparse()
+
 
 def expand_spec(
     spec: SweepSpec,
+    memo: Optional[_TransformMemo] = None,
 ) -> Tuple[List[SweepPoint], List[_Verification]]:
     """Expand one spec into its cross-product of points.
 
@@ -753,7 +833,8 @@ def expand_spec(
     :func:`plan_sweep` can satisfy them from the cache and the rest can
     ride in the same batch as the points; variants that leave a
     program unchanged (e.g. ``tile-only`` on an indirect workload)
-    have nothing to verify and are measured as-is.
+    have nothing to verify and are measured as-is.  With a ``memo`` (a
+    session's), a transformation it already holds is not run again.
     """
     points: List[SweepPoint] = []
     verifications: List[_Verification] = []
@@ -769,23 +850,24 @@ def expand_spec(
                 options = TransformOptions(
                     tile_size=tile, interchange=inter
                 )
-                prepared: Dict[str, Optional[PreparedApp]] = {}
+                prepared: Dict[
+                    str, Tuple[Optional[PreparedApp], Optional[str]]
+                ] = {}
                 fallback: Optional[TransformReport] = None
                 for label, pipeline in resolved_variants:
                     if pipeline.empty:
-                        prepared[label] = None
+                        prepared[label] = (None, None)
                         continue
+                    report, text = _transform(app, pipeline, options, memo)
                     pa = PreparedApp(
                         app,
                         options=options,
                         variant=pipeline,
                         verify=False,
                         cost_model=first_cost,
-                        # nothing in the sweep reads intermediate
-                        # texts; skip one unparse per pass per point
-                        snapshots=False,
+                        report=report,
                     )
-                    prepared[label] = pa
+                    prepared[label] = (pa, text)
                     if fallback is None:
                         fallback = pa.transform
                     if spec.verify and pa.transform.changed:
@@ -808,13 +890,15 @@ def expand_spec(
                                     externals=app.externals,
                                     label=f"{app.name}/verify-{label}",
                                 ),
-                                key=_verification_key(pa, first_cost),
+                                key=_verification_key(
+                                    pa, text, first_cost
+                                ),
                             )
                         )
                 for scale in spec.cpu_scales:
                     cost = spec.base_cost_model.scaled(scale)
                     for label, pipeline in resolved_variants:
-                        pa = prepared[label]
+                        pa, text = prepared[label]
                         program: Union[str, SourceFile]
                         if pa is None:
                             program = app.source
@@ -853,6 +937,7 @@ def expand_spec(
                                         label=f"{app.name}/{label}",
                                         externals=app.externals,
                                         transform=transform,
+                                        text=text,
                                         variant_id=variant_id,
                                         engine_mode=spec.engine_mode
                                         or "auto",
@@ -1124,10 +1209,12 @@ class SweepPlan:
 def plan_sweep(
     specs: Union[SweepSpec, Sequence[SweepSpec]],
     cache: Union[None, str, Path, SweepCache],
+    memo: Optional[_TransformMemo] = None,
 ) -> SweepPlan:
-    """Stage 1: expand every spec, fingerprint every point, dedupe
-    points by fingerprint, and probe the cache for measurements and
-    verification verdicts (counting its hits and misses)."""
+    """Stage 1: expand every spec (through ``memo`` when given),
+    fingerprint every point, dedupe points by fingerprint, and probe
+    the cache for measurements and verification verdicts (counting its
+    hits and misses)."""
     if isinstance(specs, SweepSpec):
         specs = [specs]
     specs = list(specs)
@@ -1135,7 +1222,7 @@ def plan_sweep(
     points: List[SweepPoint] = []
     verifications: List[_Verification] = []
     for spec in specs:
-        pts, vers = expand_spec(spec)
+        pts, vers = expand_spec(spec, memo)
         points.extend(pts)
         verifications.extend(vers)
     plan = SweepPlan(
@@ -1150,7 +1237,9 @@ def plan_sweep(
             plan.stats.uncacheable += 1
             plan.pending[index] = point
             continue
-        fp = point.fingerprint = job_fingerprint(point.job())
+        fp = point.fingerprint = job_fingerprint(
+            point.job(), text=point.text
+        )
         if fp in plan.resolved or fp in plan.pending:
             continue
         m = read_measurement(cache, fp) if cache is not None else None
@@ -1181,6 +1270,7 @@ def _execute_sweep(
     jobs: Optional[int] = None,
     cache: Union[None, str, Path, SweepCache] = None,
     executor=None,
+    memo: Optional[_TransformMemo] = None,
 ) -> SweepResult:
     """Execute one or more sweep specs: plan, one ``run_many`` batch,
     fold.
@@ -1193,11 +1283,12 @@ def _execute_sweep(
     :class:`SweepCache`) serves previously-simulated points without
     re-simulating; ``None`` disables caching entirely.  Points whose
     fingerprints coincide are simulated once per batch regardless of
-    caching.
+    caching.  ``memo`` is the session's transform memo (see
+    :func:`expand_spec`).
 
     This is the engine behind :meth:`repro.api.Session.sweep`.
     """
-    plan = plan_sweep(specs, cache)
+    plan = plan_sweep(specs, cache, memo)
     batch = plan.jobs()
     if batch:
         runs = run_many(batch, processes=jobs, executor=executor)

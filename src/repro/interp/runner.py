@@ -219,7 +219,7 @@ class ClusterJob:
         return self.program
 
 
-def job_fingerprint(job: ClusterJob) -> str:
+def job_fingerprint(job: ClusterJob, *, text: Optional[str] = None) -> str:
     """Content-address of one simulation: sha-256 over everything the
     result depends on.
 
@@ -237,6 +237,10 @@ def job_fingerprint(job: ClusterJob) -> str:
     callables whose behavior cannot be content-hashed; fingerprinting
     them raises :class:`~repro.errors.SimulationError` and the sweep
     engine runs such points uncached instead.
+
+    ``text`` is the job's program as source text when the caller already
+    holds it (the sweep engine's transform memo does); otherwise an AST
+    program is unparsed here.
     """
     if job.externals is not None:
         raise SimulationError(
@@ -253,7 +257,7 @@ def job_fingerprint(job: ClusterJob) -> str:
         # replay is bit-identical wherever it runs, so all modes share
         # one cache entry per job.
         "symmetry": symmetry.SYMMETRY_VERSION,
-        "program": job.program_text(),
+        "program": job.program_text() if text is None else text,
         "nranks": job.nranks,
         "network": resolve_model(job.network).canonical_params(),
         "cost": job.cost_model.canonical_params(),

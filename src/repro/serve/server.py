@@ -426,7 +426,10 @@ class SweepServer:
         try:
             # expansion transforms programs: CPU work kept off the loop
             plan = await asyncio.to_thread(
-                plan_sweep, specs, self.session.cache
+                plan_sweep,
+                specs,
+                self.session.cache,
+                self.session._transforms,
             )
         except ReproError as exc:
             raise RequestError(f"sweep expansion failed: {exc}") from None

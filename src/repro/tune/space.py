@@ -29,6 +29,7 @@ every evaluation hits the shared content-addressed cache.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -297,6 +298,18 @@ class SearchSpace:
 
     # ---------------------------------------------------- normalization
 
+    @functools.cached_property
+    def _accepted_keys(self) -> Dict[str, frozenset]:
+        """Per axis, the :func:`_value_key` of every value
+        :meth:`normalize` accepts (computed once per space; not a
+        field, so equality and the wire form ignore it)."""
+        return {
+            axis.name: frozenset(
+                map(_value_key, axis.values + (_AXIS_DEFAULTS[axis.name],))
+            )
+            for axis in self.axes
+        }
+
     def normalize(self, candidate: Mapping[str, Any]) -> Candidate:
         """The canonical form of ``candidate``.
 
@@ -320,11 +333,9 @@ class SearchSpace:
         full = {
             a.name: candidate.get(a.name, a.values[0]) for a in self.axes
         }
+        accepted = self._accepted_keys
         for axis in self.axes:
-            if _value_key(full[axis.name]) not in {
-                _value_key(v)
-                for v in axis.values + (_AXIS_DEFAULTS[axis.name],)
-            }:
+            if _value_key(full[axis.name]) not in accepted[axis.name]:
                 raise TuneError(
                     f"candidate value {full[axis.name]!r} not on axis "
                     f"{axis.name!r} (values: {list(axis.values)})"
