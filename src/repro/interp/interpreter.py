@@ -836,10 +836,10 @@ class Interpreter:
     ) -> Scalar:
         """Arithmetic/comparison semantics on already-evaluated operands.
 
-        Split out from :meth:`_eval_binop` so the symmetry recorder
-        (:mod:`repro.interp.symmetry`) can apply the exact same value
-        semantics — including the Fortran truncating integer division —
-        without duplicating them.
+        Split out from :meth:`_eval_binop` so the symmetry recorder's
+        compiled closures (:mod:`repro.interp.symmetry`) apply the exact
+        same value semantics — including the Fortran truncating integer
+        division — without duplicating them.
         """
         if op == "+":
             return left + right
@@ -884,8 +884,9 @@ class Interpreter:
         """Intrinsic semantics on already-evaluated arguments.
 
         Split out from :meth:`_eval_intrinsic` (after the charge) so the
-        symmetry recorder can apply the exact same scalar semantics
-        element-wise to rank-indexed vectors.
+        symmetry recorder's compiled closures apply the exact same
+        semantics to rank-uniform arguments and to approximate
+        representatives.
         """
         if name == "mod":
             a, b = args

@@ -21,14 +21,27 @@ recording succeeds, replaying the recorded trace is bit-identical to
 interpreting every rank (the parity suite in
 ``tests/integration/test_replay_parity.py`` checks exactly this claim).
 
+Expressions run through a compiled rank-vector value domain,
+:class:`VecCompiler` — the closure compiler of the fast path
+(:mod:`repro.interp.compiler`, DESIGN.md §5) with vector-aware operator,
+intrinsic, array and assignment closures.  Scalar operands take the
+scalar closures' exact arithmetic and charges; a vector operand
+dispatches to the vector semantics below.  The taint checks need no
+code of their own: loop bounds, IF conditions and store subscripts pass
+through ``int()``/``bool()`` in the closures, and a vector refuses both.
+The recorder evaluates *every* expression this way, including those of
+the communication skeleton (MPI arguments, bounds of loops that contain
+MPI), so vector semantics have exactly one code path.
+
 What must match full interpretation, and how it is kept exact:
 
 * **Virtual time.**  Cost charges never depend on *values*, only on the
   statements executed, so the single recorded charge stream is every
-  rank's charge stream.  Flush boundaries are reproduced exactly by
-  walking the same compiled/pure body partition as the fast path
-  (``_exec_body`` + ``_maybe_flush`` overrides) — pure regions
-  accumulate without flushing, exactly like the compiled closures.
+  rank's charge stream.  Pure statements run as compiled closures and
+  the communication skeleton through the interpreter's generator path,
+  exactly as in full interpretation, so the ``Compute`` partition (and
+  the order of every floating-point charge) is the fast path's by
+  construction.
 * **Data.**  Arrays that ever receive a rank-dependent store are
   *shadowed*: a ``(P, size)`` matrix holding every rank's copy in flat
   Fortran order.  Collectives are applied to shadows algebraically
@@ -39,10 +52,20 @@ What must match full interpretation, and how it is kept exact:
   its result depends on the algorithm's combination order.
 * **Scalars.**  Rank-uniform scalars stay Python ints (arbitrary
   precision, like the full path).  Rank-dependent values live in int64/
-  float64 numpy vectors; intermediates that overflow int64 are the one
-  documented divergence (no roster app does this — see DESIGN.md §10).
-  Transcendental intrinsics on vectors go through :mod:`math`
-  element-wise so libm results match the scalar path bit-for-bit.
+  float64/bool numpy vectors; intermediates that overflow int64 are the
+  one documented divergence (no roster app does this — see DESIGN.md
+  §10).  Wherever numpy's result could differ from Python's —
+  transcendental intrinsics, ``**``, ``min``/``max`` over mixed or real
+  arguments — the operation runs element-wise through Python, so libm
+  and Python's type rules give the scalar path's results bit-for-bit;
+  if the per-rank results disagree in type (an ``int ** int`` that is
+  real on some ranks only), the ranks' later charges would diverge, so
+  that raises :class:`SymmetryError`.
+* **Errors.**  A vector operation that would raise on some rank (a zero
+  divisor slot, a negative ``sqrt`` argument, an out-of-bounds gather
+  subscript, a non-finite ``int()``) raises :class:`SymmetryError`
+  instead of guessing which rank fails first; ``engine_mode="auto"``
+  then runs full interpretation, which reports the program's own error.
 
 Shadow memory is bounded by ``max_shadow_bytes`` (default 256 MiB of
 worst-case ``P × array`` footprint).  An array whose shadow would blow
@@ -51,21 +74,25 @@ stays exact (charges are value-independent), but its per-rank contents
 are dropped and any value read back out of it becomes an
 :class:`ApproxVec`, which may flow into further stores but never into
 control flow, printed output, or anything else observable — those raise
-:class:`SymmetryError`.  The owning :class:`~repro.interp.runner.ClusterRun`
+:class:`SymmetryError`, as does any error its representative value
+would raise.  The owning :class:`~repro.interp.runner.ClusterRun`
 is flagged ``data_approximate`` so correctness checkers refuse to
 compare such arrays.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+import operator
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..errors import InterpError, SimulationError, SymmetryError
 from ..lang.ast_nodes import (
     ArrayRef,
+    BinOp,
     Expr,
     FuncCall,
     Print,
@@ -75,6 +102,7 @@ from ..lang.ast_nodes import (
     VarRef,
 )
 from ..runtime.costmodel import DEFAULT_COST_MODEL, CostModel
+from .compiler import ExprFn, StmtCompiler, StmtFn
 from .interpreter import _MPI_CALLS, Frame, Gen, Interpreter
 from .values import FArray, Scalar
 
@@ -92,23 +120,27 @@ SYMMETRY_VERSION = "1.0"
 MAX_SHADOW_BYTES = 256 * 1024 * 1024
 
 
-class RankVec:
+class _Vec:
+    """Common base of the rank-varying value kinds, so the compiled
+    closures' scalar fast path pays one ``isinstance`` per operand."""
+
+    __slots__ = ()
+
+
+class RankVec(_Vec):
     """A rank-indexed value: slot ``r`` is the value rank ``r`` computes.
 
     Backed by a numpy vector (int64 / float64 / bool) so element-wise
-    arithmetic over all ranks costs one vector op.  Converting one to a
-    plain scalar is exactly the taint sink the symmetry proof forbids,
-    so every conversion protocol raises :class:`SymmetryError`.
+    arithmetic over all ranks costs one vector op.  The vector is never
+    modified in place once wrapped, so values may share it.  Converting
+    one to a plain scalar is exactly the taint sink the symmetry proof
+    forbids, so every conversion protocol raises :class:`SymmetryError`.
     """
 
     __slots__ = ("values",)
 
     def __init__(self, values: np.ndarray) -> None:
-        self.values = np.asarray(values)
-
-    @property
-    def is_real(self) -> bool:
-        return self.values.dtype.kind == "f"
+        self.values = values
 
     def _diverges(self, what: str) -> SymmetryError:
         return SymmetryError(
@@ -135,7 +167,7 @@ class RankVec:
         return f"RankVec({self.values!r})"
 
 
-class ApproxVec:
+class ApproxVec(_Vec):
     """A rank-varying value whose per-rank contents were dropped.
 
     Produced only by reads from budget-degraded (approximate) arrays.
@@ -178,8 +210,6 @@ class ApproxVec:
         return f"ApproxVec({self.rep!r})"
 
 
-_VECS = (RankVec, ApproxVec)
-
 # trace event tuples produced by the recorder (sizes are element counts):
 #   ("compute", seconds)
 #   ("alltoall", send_elems, recv_elems)
@@ -190,6 +220,9 @@ _VECS = (RankVec, ApproxVec)
 TraceEvent = Tuple[Any, ...]
 
 
+# ------------------------------------------------------- vector semantics
+
+
 def _rep_of(x: Any) -> Scalar:
     if isinstance(x, ApproxVec):
         return x.rep
@@ -198,11 +231,536 @@ def _rep_of(x: Any) -> Scalar:
     return x
 
 
-def _int_like(x: Any) -> bool:
-    """Mirror of ``isinstance(v, int)`` on the scalar path (bool is int)."""
+_SCALAR_KIND = {bool: "b", int: "i", float: "f"}
+
+# numpy kind letter of a vector already of each declared type
+_TYPE_KIND = {"integer": "i", "real": "f", "logical": "b"}
+
+
+def _kind(x: Any) -> Optional[str]:
+    """numpy kind letter of a vector or scalar (None: not numeric)."""
     if isinstance(x, RankVec):
-        return x.values.dtype.kind in "bi"
-    return isinstance(x, int) and not isinstance(x, float)
+        return x.values.dtype.kind
+    return _SCALAR_KIND.get(type(x))
+
+
+def _num(x: Any) -> Any:
+    """An arithmetic operand with Python's bool semantics (``True +
+    True == 2``, ``-True == -1``): numpy would treat bools logically."""
+    if isinstance(x, np.ndarray):
+        return x.astype(np.int64) if x.dtype.kind == "b" else x
+    return int(x) if isinstance(x, bool) else x
+
+
+def _failing(what: str, exc: Optional[BaseException] = None) -> SymmetryError:
+    cause = f" ({type(exc).__name__}: {exc})" if exc is not None else ""
+    return SymmetryError(
+        f"{what} on some ranks{cause}: full interpretation reports the "
+        f"program's own error"
+    )
+
+
+def _ints(v: Any) -> Any:
+    """``int()`` of every slot (truncation toward zero), as int64."""
+    if not isinstance(v, np.ndarray):
+        return int(v)
+    if v.dtype.kind != "f":
+        return v.astype(np.int64, copy=False)
+    if np.isfinite(v).all() and (np.abs(v) < 2.0**63).all():
+        return np.trunc(v).astype(np.int64)
+    raise _failing("int() of a non-finite or out-of-range real")
+
+
+def _pack(out: List[Any]) -> RankVec:
+    """One rank's scalar result per slot, as a vector — if every rank
+    got the same type (otherwise their later charges would diverge)."""
+    kinds = set(map(type, out))
+    if len(kinds) == 1:
+        kind = kinds.pop()
+        if kind is float:
+            return RankVec(np.array(out, dtype=np.float64))
+        if kind is bool:
+            return RankVec(np.array(out, dtype=np.bool_))
+        if kind is int:
+            try:
+                return RankVec(np.array(out, dtype=np.int64))
+            except OverflowError:
+                pass
+    raise SymmetryError(
+        f"per-rank results of types {sorted(k.__name__ for k in kinds)} "
+        f"(or beyond int64): ranks would take different charges"
+    )
+
+
+def _elementwise(fn: Callable[..., Any], args: List[Any]) -> RankVec:
+    """``fn`` applied rank by rank with Python scalar semantics."""
+    cols = [
+        a.values.tolist() if isinstance(a, RankVec) else itertools.repeat(a)
+        for a in args
+    ]
+    try:
+        out = [fn(*xs) for xs in zip(*cols)]
+    except (ArithmeticError, ValueError) as exc:
+        raise _failing("an operation raises", exc) from exc
+    return _pack(out)
+
+
+def _approx(fn: Callable[..., Any], *args: Any) -> ApproxVec:
+    """Scalar semantics on approximate representatives.  An error there
+    proves nothing about the real ranks, so it is a fallback."""
+    try:
+        return ApproxVec(fn(*args))
+    except (ArithmeticError, ValueError, InterpError) as exc:
+        raise SymmetryError(
+            f"approximate per-rank data (shadow budget exceeded) raised "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def _has_zero(v: Any) -> bool:
+    return not v.all() if isinstance(v, np.ndarray) else v == 0
+
+
+_COMPARE: Dict[str, Callable[[Any, Any], Any]] = {
+    "==": operator.eq,
+    "/=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+_ARITH: Dict[str, Callable[[Any, Any], Any]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+}
+
+_SCALAR_BINOPS = {**_ARITH, **_COMPARE}
+
+# arguments each intrinsic reads (the scalar path ignores the rest);
+# None: all of them
+_INTRINSIC_ARITY: Dict[str, Optional[int]] = {
+    "mod": 2,
+    "min": None,
+    "max": None,
+    "abs": 1,
+    "int": 1,
+    "real": 1,
+    "sqrt": 1,
+    "sin": 1,
+    "cos": 1,
+    "exp": 1,
+    "log": 1,
+    "iand": 2,
+    "ior": 2,
+    "ieor": 2,
+    "ishft": 2,
+    "merge": 3,
+}
+
+
+def _exact_offset(arr: FArray, subs: List[Any]) -> Optional[int]:
+    """The flat Fortran-order offset of an in-bounds element of a 1-D or
+    2-D array subscripted by ints; None for anything else."""
+    data = arr.data
+    lb = arr.lbounds
+    if len(subs) == 1:
+        s0 = subs[0]
+        if s0.__class__ is int and data.ndim == 1:
+            j0 = s0 - lb[0]
+            if 0 <= j0 < data.shape[0]:
+                return j0
+    elif len(subs) == 2:
+        s0, s1 = subs
+        if s0.__class__ is int and s1.__class__ is int and data.ndim == 2:
+            n0, n1 = data.shape
+            j0 = s0 - lb[0]
+            j1 = s1 - lb[1]
+            if 0 <= j0 < n0 and 0 <= j1 < n1:
+                return j0 + j1 * n0
+    return None
+
+
+def _flat_offset(arr: FArray, subs: List[int]) -> int:
+    """:meth:`FArray.flat_offset` with the 1-D and 2-D cases inlined."""
+    off = _exact_offset(arr, subs)
+    return arr.flat_offset(subs) if off is None else off
+
+
+def _call_error(name: str) -> SymmetryError:
+    # Subroutines and externals execute per rank with the rank id in
+    # scope; one vectorized activation cannot prove them symmetric.
+    # (An *unknown* procedure also lands here: the full-interpretation
+    # fallback then reports the proper undefined-procedure error.)
+    return SymmetryError(
+        f"call to procedure {name!r}: subroutine/external bodies are "
+        f"interpreted per rank and are outside the symmetry proof"
+    )
+
+
+class VecCompiler(StmtCompiler):
+    """The closure compiler over the rank-vector value domain.
+
+    Only the closures whose operands can be vectors are replaced;
+    statements, loops and conditionals are the base compiler's (their
+    ``int()``/``bool()`` conversions are the taint checks).  Each
+    replacement keeps the base closure's evaluation order and charges,
+    and takes the scalar arithmetic unchanged when no operand is a
+    vector.
+    """
+
+    # ------------------------------------------------- vector operations
+
+    def vector_binop(self, op: str, line: int) -> Callable[[Any, Any], Any]:
+        """The vector half of one ``op`` closure: charge and evaluate
+        ``l op r`` when either side is a vector.
+
+        Vectors are immutable, so the last result is reused while both
+        operands are the very same objects — a loop-invariant term such
+        as ``mynode() * 37`` costs one vector operation per closure, not
+        one per iteration (the charge is still taken every time).
+        """
+        acc = self.acc
+        iop = self.cost.int_op
+        rop = self.cost.real_op
+        arith = _ARITH.get(op)
+        cmp = _COMPARE.get(op)
+        value = Interpreter._binop_value
+        last: List[Any] = [None, None, None]  # l, r, l op r
+
+        def vec(l: Any, r: Any) -> Any:
+            if l.__class__ is ApproxVec or r.__class__ is ApproxVec:
+                lr, rr = _rep_of(l), _rep_of(r)
+                is_real = isinstance(lr, float) or isinstance(rr, float)
+                acc[0] += rop if is_real else iop
+                return _approx(value, op, lr, rr, is_real, line)
+            if l.__class__ is RankVec:
+                lv = l.values
+                lk = lv.dtype.kind
+            else:
+                lv = l
+                lk = _SCALAR_KIND.get(l.__class__)
+            if r.__class__ is RankVec:
+                rv = r.values
+                rk = rv.dtype.kind
+            else:
+                rv = r
+                rk = _SCALAR_KIND.get(r.__class__)
+            is_real = lk == "f" or rk == "f"
+            acc[0] += rop if is_real else iop
+            if l is last[0] and r is last[1]:
+                return last[2]
+            if cmp is not None:
+                out = RankVec(cmp(lv, rv))
+            elif op == "**":
+                # Python's ** is int, real or an error depending on values
+                out = _elementwise(operator.pow, [l, r])
+            else:
+                if lk == "b":
+                    lv = _num(lv)
+                if rk == "b":
+                    rv = _num(rv)
+                if arith is not None:
+                    out = RankVec(arith(lv, rv))
+                elif _has_zero(rv):  # "/": Python raises on any zero divisor
+                    raise _failing("division by zero")
+                elif is_real:
+                    out = RankVec(lv / rv)
+                else:
+                    q = abs(lv) // abs(rv)
+                    out = RankVec(np.where((lv >= 0) == (rv >= 0), q, -q))
+            last[0] = l
+            last[1] = r
+            last[2] = out
+            return out
+
+        return vec
+
+    def intrinsic(self, name: str, args: List[Any], line: int) -> Any:
+        """Evaluate intrinsic ``name`` (already charged) when some
+        argument is a vector."""
+        scalar = self.interp._intrinsic_value
+        if name not in _INTRINSIC_ARITY:
+            return scalar(name, args, line)  # size() / unknown: its error
+        used = args[: _INTRINSIC_ARITY[name]]
+        if not any(isinstance(a, _Vec) for a in used):
+            return scalar(name, args, line)  # only ignored args vary
+        if any(isinstance(a, ApproxVec) for a in used):
+            return _approx(scalar, name, [_rep_of(a) for a in args], line)
+        vals = [a.values if isinstance(a, RankVec) else a for a in args]
+        if name == "mod":
+            a, b = vals
+            if _has_zero(b):
+                raise _failing("mod with a zero divisor")
+            # isinstance(v, int) on the scalar path (bool is an int)
+            ints = ("b", "i")
+            real = not (_kind(args[0]) in ints and _kind(args[1]) in ints)
+            if real and np.isinf(a).any():
+                raise _failing("mod of an infinite dividend")
+            return RankVec(np.fmod(_num(a), _num(b)))
+        if name in ("min", "max"):
+            if all(_kind(a) == "i" for a in args):
+                fold = np.minimum if name == "min" else np.maximum
+                out = vals[0]
+                for v in vals[1:]:
+                    out = fold(out, v)
+                return RankVec(out)
+            pick = min if name == "min" else max
+            return _elementwise(lambda *xs: pick(xs), args)
+        v = vals[0]
+        if name == "abs":
+            return RankVec(np.abs(_num(v)))
+        if name == "int":
+            return RankVec(_ints(v))
+        if name == "real":
+            return RankVec(_num(v).astype(np.float64))
+        if name == "sqrt":
+            if (v < 0).any():
+                raise _failing("sqrt of a negative argument")
+            return RankVec(np.sqrt(_num(v)))
+        if name in ("sin", "cos", "exp", "log"):
+            # through libm rank by rank: numpy's SIMD kernels for these
+            # are not guaranteed bit-identical to math.*
+            return _elementwise(getattr(math, name), args[:1])
+        if name == "merge":
+            t, f, cond = args[0], args[1], args[2]
+            if not isinstance(cond, RankVec):
+                return t if bool(cond) else f
+            if _kind(t) is not None and _kind(t) == _kind(f):
+                return RankVec(np.where(cond.values != 0, vals[0], vals[1]))
+            return _elementwise(lambda x, y, c: x if c else y, args[:3])
+        a, b = _ints(vals[0]), _ints(vals[1])
+        if name == "iand":
+            return RankVec(a & b)
+        if name == "ior":
+            return RankVec(a | b)
+        if name == "ieor":
+            return RankVec(a ^ b)
+        # ishft
+        left = np.left_shift(a, np.maximum(b, 0))
+        right = np.right_shift(a, np.maximum(-b, 0))
+        return RankVec(np.asarray(np.where(b >= 0, left, right)))
+
+    # ---------------------------------------------------------- closures
+
+    def _compile_stmt(self, s: Stmt) -> StmtFn:
+        if not isinstance(s, Print):
+            return super()._compile_stmt(s)
+        acc = self.acc
+        so = self.cost.stmt_overhead
+        itemfs = [self.expr(e) for e in s.items]
+        out = self.interp.output
+
+        def run_print(f):
+            acc[0] += so
+            values = tuple(itf(f) for itf in itemfs)
+            for v in values:
+                if isinstance(v, ApproxVec):
+                    raise v._dropped("in printed output")
+            out.append(values)
+
+        return run_print
+
+    def _compile_call(self, s) -> StmtFn:
+        name = s.name
+
+        def run_call(f):
+            raise _call_error(name)
+
+        return run_call
+
+    def _compile_assign(self, s) -> StmtFn:
+        acc = self.acc
+        so = self.cost.stmt_overhead
+        mem = self.cost.mem_access
+        itp = self.interp
+        rhs = self.expr(s.rhs)
+        lhs = s.lhs
+        line = s.line
+
+        if isinstance(lhs, VarRef):
+            name = lhs.name
+            coerce = itp._coerce
+
+            def run_scalar(f):
+                acc[0] += so
+                v = rhs(f)
+                scalars = f.scalars
+                if name not in scalars:
+                    raise InterpError(f"undeclared scalar {name!r}", line)
+                t = f.types.get(name, "integer")
+                if isinstance(v, _Vec):
+                    if (
+                        v.__class__ is RankVec
+                        and v.values.dtype.kind == _TYPE_KIND.get(t)
+                    ):
+                        scalars[name] = v  # already of the declared type
+                    else:
+                        scalars[name] = coerce(v, t)
+                elif t == "integer":
+                    scalars[name] = int(v)
+                elif t == "real":
+                    scalars[name] = float(v)
+                else:
+                    scalars[name] = bool(v)
+
+            return run_scalar
+
+        if isinstance(lhs, ArrayRef):
+            name = lhs.name
+            subfs = [self.expr(e) for e in lhs.subs]
+            store = itp._store_element
+            shadows = itp.shadows
+
+            def run_set(f):
+                acc[0] += so
+                v = rhs(f)
+                arr = f.arrays.get(name)
+                if arr is None:
+                    raise InterpError(f"undeclared array {name!r}", line)
+                subs = [sf(f) for sf in subfs]
+                acc[0] += mem
+                if v.__class__ is RankVec:
+                    # the hot case: a rank-dependent value into a shadow
+                    shadow = shadows.get(name)
+                    if shadow is not None:
+                        off = _exact_offset(arr, subs)
+                        if off is not None:
+                            shadow[:, off] = v.values
+                            return
+                store(name, arr, subs, v, line)
+
+            return run_set
+
+        return super()._compile_assign(s)
+
+    def _compile_array_get(self, e: ArrayRef) -> ExprFn:
+        acc = self.acc
+        mem = self.cost.mem_access
+        name = e.name
+        line = e.line
+        subfs = [self.expr(s) for s in e.subs]
+        read = self.interp._read_element
+
+        def run_get(f):
+            arr = f.arrays.get(name)
+            if arr is None:
+                raise InterpError(f"undeclared array {name!r}", line)
+            subs = [sf(f) for sf in subfs]
+            acc[0] += mem
+            return read(name, arr, subs, line)
+
+        return run_get
+
+    def _compile_binop(self, e: BinOp) -> ExprFn:
+        op = e.op
+        if op not in _SCALAR_BINOPS and op not in ("/", "**"):
+            # .and./.or. take bool() of each side, which a vector
+            # refuses; an unknown operator raises as on the scalar path
+            return super()._compile_binop(e)
+        acc = self.acc
+        iop = self.cost.int_op
+        rop = self.cost.real_op
+        lf = self.expr(e.left)
+        rf = self.expr(e.right)
+        line = e.line
+        vec = self.vector_binop(op, line)
+
+        pyop = _SCALAR_BINOPS.get(op)
+        if pyop is not None:
+
+            def run_op(f):
+                l = lf(f)
+                r = rf(f)
+                if l.__class__ is int and r.__class__ is int:
+                    acc[0] += iop  # the common case, checked first
+                    return pyop(l, r)
+                if isinstance(l, _Vec) or isinstance(r, _Vec):
+                    return vec(l, r)
+                acc[0] += (
+                    rop if isinstance(l, float) or isinstance(r, float) else iop
+                )
+                return pyop(l, r)
+
+            return run_op
+
+        value = Interpreter._binop_value
+
+        def run_div_pow(f):
+            l = lf(f)
+            r = rf(f)
+            if isinstance(l, _Vec) or isinstance(r, _Vec):
+                return vec(l, r)
+            is_real = isinstance(l, float) or isinstance(r, float)
+            acc[0] += rop if is_real else iop
+            return value(op, l, r, is_real, line)
+
+        return run_div_pow
+
+    def _compile_unop(self, e: UnaryOp) -> ExprFn:
+        if e.op != "-":
+            return super()._compile_unop(e)  # .not. takes bool()
+        acc = self.acc
+        iop = self.cost.int_op
+        rop = self.cost.real_op
+        vf = self.expr(e.operand)
+
+        def run_neg(f):
+            v = vf(f)
+            if isinstance(v, RankVec):
+                acc[0] += rop if v.values.dtype.kind == "f" else iop
+                return RankVec(-_num(v.values))
+            if isinstance(v, ApproxVec):
+                acc[0] += rop if v.is_real else iop
+                return ApproxVec(-v.rep)
+            acc[0] += rop if isinstance(v, float) else iop
+            return -v
+
+        return run_neg
+
+    def _compile_funcall(self, e: FuncCall) -> ExprFn:
+        itp = self.interp
+        name = e.name
+        if name == "mynode":
+            mynode = itp._mynode
+            return lambda f: mynode
+        if name == "numnodes":
+            nranks = itp.nranks
+            return lambda f: nranks
+        acc = self.acc
+        intr = self.cost.intrinsic
+        line = e.line
+        argfs = [self.expr(a) for a in e.args]
+        scalar = itp._intrinsic_value
+        vec = self.intrinsic
+
+        if name == "mod" and len(argfs) == 2:
+            a0, a1 = argfs
+
+            def run_mod(f):
+                a = a0(f)
+                b = a1(f)
+                acc[0] += intr
+                if a.__class__ is RankVec and b.__class__ is int and b:
+                    v = a.values
+                    if v.dtype.kind == "i":  # the common integer case
+                        return RankVec(np.fmod(v, b))
+                if isinstance(a, _Vec) or isinstance(b, _Vec):
+                    return vec(name, [a, b], line)
+                return scalar(name, [a, b], line)
+
+            return run_mod
+
+        def run_intrinsic(f):
+            args = [af(f) for af in argfs]
+            acc[0] += intr
+            for a in args:
+                if isinstance(a, _Vec):
+                    return vec(name, args, line)
+            return scalar(name, args, line)
+
+        return run_intrinsic
 
 
 class SymmetryRecorder(Interpreter):
@@ -235,302 +793,84 @@ class SymmetryRecorder(Interpreter):
         self._shadow_bytes = 0
         # arrays degraded to an approximate representative copy
         self._approx: Set[str] = set()
-        self._pure_depth = 0
         self._mynode = RankVec(np.arange(nranks, dtype=np.int64))
+        self._compiler = VecCompiler(self)
 
     @property
     def data_approximate(self) -> bool:
         return bool(self._approx)
 
-    # -------------------------------------------------- flush-exact bodies
-
-    def _exec_body(self, body: Sequence[Stmt], frame: Frame) -> Gen:
-        # The fast path runs pure statements as compiled closures that
-        # never flush mid-region.  Closures cannot carry RankVecs, so we
-        # execute everything through the slow path — but suppress flushes
-        # inside pure regions to reproduce the fast path's exact Compute
-        # partition (charge totals are identical either way).
-        for fn, stmt in self._compiler.body_entries(body):
-            if fn is not None:
-                self._pure_depth += 1
-                try:
-                    yield from self._exec_stmt(stmt, frame)
-                finally:
-                    self._pure_depth -= 1
-            else:
-                yield from self._exec_stmt(stmt, frame)
-
-    def _maybe_flush(self) -> Gen:
-        if not self._pure_depth:
-            yield from super()._maybe_flush()
-
     # --------------------------------------------------------- statements
 
-    def _exec_stmt(self, stmt: Stmt, frame: Frame) -> Gen:
-        if isinstance(stmt, Print):
-            self.charge(self.cost.stmt_overhead)
-            yield from self._maybe_flush()
-            values = tuple(self._eval(e, frame) for e in stmt.items)
-            for v in values:
-                if isinstance(v, ApproxVec):
-                    raise v._dropped("in printed output")
-            self.output.append(values)
-            return
-        yield from super()._exec_stmt(stmt, frame)
-
-    def _exec_assign(self, stmt, frame: Frame) -> None:
-        value = self._eval(stmt.rhs, frame)
-        lhs = stmt.lhs
-        if isinstance(lhs, VarRef):
-            if lhs.name not in frame.scalars:
-                raise InterpError(f"undeclared scalar {lhs.name!r}", stmt.line)
-            frame.scalars[lhs.name] = self._coerce(
-                value, frame.types.get(lhs.name, "integer")
-            )
-            return
-        if not isinstance(lhs, ArrayRef):
-            raise InterpError("invalid assignment target", stmt.line)
-        arr = self._array(lhs.name, frame, stmt.line)
-        subs = [self._eval(s, frame) for s in lhs.subs]
-        self.charge(self.cost.mem_access)
-        self._store_element(lhs.name, arr, subs, value, stmt.line)
+    def _eval(self, e: Expr, frame: Frame) -> Any:
+        # the communication skeleton (loop bounds, IF conditions, MPI
+        # arguments, declarations) evaluates through the same compiled
+        # vector closures as the pure regions
+        return self._compiler.expr(e)(frame)
 
     def _exec_call(self, stmt, frame: Frame) -> Gen:
         if stmt.name in _MPI_CALLS:
             yield from self._exec_mpi(stmt, frame)
             return
-        # Subroutines and externals execute per rank with the rank id in
-        # scope; one vectorized activation cannot prove them symmetric.
-        # (An *unknown* procedure also lands here: the full-interpretation
-        # fallback then reports the proper undefined-procedure error.)
-        raise SymmetryError(
-            f"call to procedure {stmt.name!r}: subroutine/external bodies "
-            f"are interpreted per rank and are outside the symmetry proof"
-        )
-
-    # ---------------------------------------------------------- expressions
+        raise _call_error(stmt.name)
 
     def _coerce(self, value: Any, base_type: str) -> Any:  # type: ignore[override]
         if isinstance(value, RankVec):
             v = value.values
             if base_type == "integer":
-                return RankVec(v.astype(np.int64))
-            if base_type == "real":
-                return RankVec(v.astype(np.float64))
-            return RankVec(v != 0)
+                out = _ints(v)
+            elif base_type == "real":
+                out = _num(v).astype(np.float64, copy=False)
+            else:
+                out = v != 0
+            return value if out is v else RankVec(out)
         if isinstance(value, ApproxVec):
-            return ApproxVec(Interpreter._coerce(value.rep, base_type))
+            return _approx(Interpreter._coerce, value.rep, base_type)
         return Interpreter._coerce(value, base_type)
-
-    def _eval(self, e: Expr, frame: Frame) -> Any:
-        if isinstance(e, ArrayRef):
-            arr = self._array(e.name, frame, e.line)
-            subs = [self._eval(s, frame) for s in e.subs]
-            self.charge(self.cost.mem_access)
-            return self._read_element(e.name, arr, subs, e.line)
-        if isinstance(e, UnaryOp) and e.op == "-":
-            v = self._eval(e.operand, frame)
-            if isinstance(v, RankVec):
-                self.charge(
-                    self.cost.real_op if v.is_real else self.cost.int_op
-                )
-                return RankVec(-v.values)
-            if isinstance(v, ApproxVec):
-                self.charge(
-                    self.cost.real_op if v.is_real else self.cost.int_op
-                )
-                return ApproxVec(-v.rep)
-            self.charge(
-                self.cost.real_op if isinstance(v, float) else self.cost.int_op
-            )
-            return -v
-        return super()._eval(e, frame)
-
-    def _eval_binop(self, e, frame: Frame) -> Any:
-        op = e.op
-        if op in (".and.", ".or."):
-            # short-circuit via _truthy; a vec operand raises SymmetryError
-            return super()._eval_binop(e, frame)
-        left = self._eval(e.left, frame)
-        right = self._eval(e.right, frame)
-        if isinstance(left, _VECS) or isinstance(right, _VECS):
-            return self._vec_binop(op, left, right, e.line)
-        is_real = isinstance(left, float) or isinstance(right, float)
-        self.charge(self.cost.real_op if is_real else self.cost.int_op)
-        return self._binop_value(op, left, right, is_real, e.line)
-
-    def _vec_binop(self, op: str, left: Any, right: Any, line: int) -> Any:
-        if isinstance(left, ApproxVec) or isinstance(right, ApproxVec):
-            l, r = _rep_of(left), _rep_of(right)
-            is_real = isinstance(l, float) or isinstance(r, float)
-            self.charge(self.cost.real_op if is_real else self.cost.int_op)
-            return ApproxVec(self._binop_value(op, l, r, is_real, line))
-        is_real = (
-            (left.is_real if isinstance(left, RankVec) else isinstance(left, float))
-            or (right.is_real if isinstance(right, RankVec) else isinstance(right, float))
-        )
-        self.charge(self.cost.real_op if is_real else self.cost.int_op)
-        l = left.values if isinstance(left, RankVec) else left
-        r = right.values if isinstance(right, RankVec) else right
-        if op == "+":
-            out = l + r
-        elif op == "-":
-            out = l - r
-        elif op == "*":
-            out = l * r
-        elif op == "/":
-            if is_real:
-                out = l / r
-            else:
-                # at least one operand is an ndarray here; test the
-                # divisor without np.any's dispatch overhead
-                zero = (r == 0).any() if isinstance(r, np.ndarray) else r == 0
-                if zero:
-                    raise InterpError("integer division by zero", line)
-                q = abs(l) // abs(r)
-                out = np.where((l >= 0) == (r >= 0), q, -q)
-        elif op == "**":
-            out = np.power(l, r)
-        elif op == "==":
-            out = l == r
-        elif op == "/=":
-            out = l != r
-        elif op == "<":
-            out = l < r
-        elif op == "<=":
-            out = l <= r
-        elif op == ">":
-            out = l > r
-        elif op == ">=":
-            out = l >= r
-        else:
-            raise InterpError(f"unknown operator {op!r}", line)
-        return RankVec(np.asarray(out))
-
-    def _eval_intrinsic(self, e: FuncCall, frame: Frame) -> Any:
-        name = e.name
-        if name == "mynode":
-            return self._mynode
-        if name == "numnodes":
-            return self.nranks
-        args = [self._eval(a, frame) for a in e.args]
-        self.charge(self.cost.intrinsic)
-        if not any(isinstance(a, _VECS) for a in args):
-            return self._intrinsic_value(name, args, e.line)
-        return self._vec_intrinsic(name, args, e.line)
-
-    def _vec_intrinsic(self, name: str, args: List[Any], line: int) -> Any:
-        if any(isinstance(a, ApproxVec) for a in args):
-            reps = [_rep_of(a) for a in args]
-            return ApproxVec(self._intrinsic_value(name, reps, line))
-        vals = [a.values if isinstance(a, RankVec) else a for a in args]
-        if name == "mod":
-            a, b = vals
-            int_mod = _int_like(args[0]) and _int_like(args[1])
-            if int_mod:
-                zero = (b == 0).any() if isinstance(b, np.ndarray) else b == 0
-                if zero:
-                    raise InterpError("mod with zero divisor", line)
-            out = np.fmod(a, b)
-            if int_mod:
-                out = out.astype(np.int64)
-            return RankVec(out)
-        if name == "min":
-            out = vals[0]
-            for v in vals[1:]:
-                out = np.minimum(out, v)
-            return RankVec(np.asarray(out))
-        if name == "max":
-            out = vals[0]
-            for v in vals[1:]:
-                out = np.maximum(out, v)
-            return RankVec(np.asarray(out))
-        if name == "abs":
-            return RankVec(np.abs(vals[0]))
-        if name == "int":
-            return RankVec(np.trunc(vals[0]).astype(np.int64))
-        if name == "real":
-            return RankVec(np.asarray(vals[0], dtype=np.float64))
-        if name == "sqrt":
-            v = np.asarray(vals[0])
-            if np.any(v < 0):
-                raise ValueError("math domain error")
-            return RankVec(np.sqrt(v))
-        if name in ("sin", "cos", "exp", "log"):
-            # element-wise through libm: numpy's SIMD kernels for these
-            # are not guaranteed bit-identical to math.*
-            fn = getattr(math, name)
-            return RankVec(
-                np.array([fn(x) for x in np.asarray(vals[0]).tolist()])
-            )
-        if name in ("iand", "ior", "ieor"):
-            a = np.trunc(np.asarray(vals[0])).astype(np.int64)
-            b = np.trunc(np.asarray(vals[1])).astype(np.int64)
-            if name == "iand":
-                return RankVec(a & b)
-            if name == "ior":
-                return RankVec(a | b)
-            return RankVec(a ^ b)
-        if name == "ishft":
-            a = np.trunc(np.asarray(vals[0])).astype(np.int64)
-            s = np.trunc(np.asarray(vals[1])).astype(np.int64)
-            left = np.left_shift(a, np.maximum(s, 0))
-            right = np.right_shift(a, np.maximum(-s, 0))
-            return RankVec(np.asarray(np.where(s >= 0, left, right)))
-        if name == "merge":
-            t, f, cond = vals
-            if isinstance(args[2], RankVec):
-                cond = np.asarray(cond) != 0
-            else:
-                cond = bool(cond)
-            return RankVec(np.asarray(np.where(cond, t, f)))
-        # "size" and unknown intrinsics: raise the scalar path's error
-        return self._intrinsic_value(name, [_rep_of(a) for a in args], line)
 
     # ------------------------------------------------------ shadowed arrays
 
     def _read_element(
         self, name: str, arr: FArray, subs: List[Any], line: int
     ) -> Any:
+        exact = True
         for s in subs:
-            if isinstance(s, ApproxVec):
-                raise s._dropped(f"as a subscript reading {name!r}")
-        if any(isinstance(s, RankVec) for s in subs):
-            return self._gather(name, arr, subs, line)
-        subs = [int(s) for s in subs]
+            if s.__class__ is not int:
+                if isinstance(s, _Vec):
+                    return self._gather(name, arr, subs, line)
+                exact = False
+        if not exact:
+            subs = [int(s) for s in subs]
+        off = _flat_offset(arr, subs)
         shadow = self.shadows.get(name)
-        if shadow is None:
-            value = arr.get(subs)
-            if name in self._approx:
-                return ApproxVec(value)
-            return value
-        return self._collapse(shadow[:, arr.flat_offset(subs)], arr.base_type)
+        if shadow is not None:
+            # copy first: comparing the contiguous copy is cheaper
+            return self._collapse(shadow[:, off].copy(), arr.base_type)
+        v = arr.flat()[off]
+        value = float(v) if arr.base_type == "real" else int(v)
+        return ApproxVec(value) if name in self._approx else value
 
     def _gather(
         self, name: str, arr: FArray, subs: List[Any], line: int
     ) -> Any:
         """Read with rank-dependent subscripts: each rank reads its own
         element (halo-exchange style, e.g. ``halo(left * 2 + 2)``)."""
+        for s in subs:
+            if isinstance(s, ApproxVec):
+                raise s._dropped(f"as a subscript reading {name!r}")
         if len(subs) != arr.rank:
             raise InterpError(
                 f"rank mismatch: {len(subs)} subscripts for rank-{arr.rank} "
                 f"array"
             )
         P = self.nranks
-        offs: Any = np.zeros(P, dtype=np.int64)
+        offs: Any = 0
         stride = 1
         for s, lo, extent in zip(subs, arr.lbounds, arr.shape):
-            sv = s.values if isinstance(s, RankVec) else int(s)
+            sv = _ints(s.values) if isinstance(s, RankVec) else int(s)
             off_d = sv - lo
-            bad = (np.asarray(off_d) < 0) | (np.asarray(off_d) >= extent)
-            if np.any(bad):
-                where = np.atleast_1d(np.asarray(off_d) + lo)[
-                    int(np.argmax(np.atleast_1d(bad)))
-                ]
-                raise InterpError(
-                    f"subscript {int(where)} out of bounds "
-                    f"[{lo}, {lo + extent - 1}]"
-                )
+            if np.any((off_d < 0) | (off_d >= extent)):
+                raise _failing(f"subscript out of bounds reading {name!r}")
             offs = offs + off_d * stride
             stride *= extent
         shadow = self.shadows.get(name)
@@ -546,38 +886,47 @@ class SymmetryRecorder(Interpreter):
         return self._collapse(col, arr.base_type)
 
     def _collapse(self, col: np.ndarray, base_type: str) -> Any:
+        """A freshly copied column as a scalar if every rank agrees."""
         first = col[0]
         if (col == first).all():
             return float(first) if base_type == "real" else int(first)
-        return RankVec(col.copy())
+        return RankVec(col)
 
     def _store_element(
         self, name: str, arr: FArray, subs: List[Any], value: Any, line: int
     ) -> None:
-        if any(isinstance(s, _VECS) for s in subs):
-            raise SymmetryError(
-                f"rank-dependent subscript in a store to {name!r}: ranks "
-                f"would write different elements of the same array"
-            )
-        subs = [int(s) for s in subs]
-        if isinstance(value, ApproxVec):
-            self._demote_to_rank0(name, arr)
-            arr.set(subs, value.rep)
-            self._approx.add(name)
-            return
-        if isinstance(value, RankVec):
-            shadow = self._shadow_for(name, arr)
+        exact = True
+        for s in subs:
+            if s.__class__ is not int:
+                if isinstance(s, _Vec):
+                    raise SymmetryError(
+                        f"rank-dependent subscript in a store to {name!r}: "
+                        f"ranks would write different elements of the same "
+                        f"array"
+                    )
+                exact = False
+        if not exact:
+            subs = [int(s) for s in subs]
+        off = _flat_offset(arr, subs)
+        shadow = self.shadows.get(name)
+        if value.__class__ is RankVec:
+            if shadow is None:
+                shadow = self._shadow_for(name, arr)
             if shadow is None:  # over budget: keep rank 0's copy only
-                arr.set(subs, value.values[0].item())
+                arr.flat()[off] = value.values[0].item()
                 self._approx.add(name)
                 return
-            shadow[:, arr.flat_offset(subs)] = value.values
+            shadow[:, off] = value.values
             return
-        shadow = self.shadows.get(name)
+        if value.__class__ is ApproxVec:
+            self._demote_to_rank0(name, arr)
+            arr.flat()[off] = value.rep
+            self._approx.add(name)
+            return
         if shadow is not None:
-            shadow[:, arr.flat_offset(subs)] = value
+            shadow[:, off] = value
             return
-        arr.set(subs, value)
+        arr.flat()[off] = value
 
     def _shadow_for(self, name: str, arr: FArray) -> Optional[np.ndarray]:
         shadow = self.shadows.get(name)

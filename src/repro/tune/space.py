@@ -223,6 +223,38 @@ DEFAULT_CONSTRAINTS: Tuple[str, ...] = (
 # ------------------------------------------------------------- space
 
 
+class _FrozenKwargs(Mapping[str, Any]):
+    """A read-only, hashable view of a space's ``app_kwargs``.
+
+    Equal to any mapping with the same items, so equality and the wire
+    form are those of a plain dict; hashable so a frozen space can be a
+    set member or a dict key.
+    """
+
+    __slots__ = ("_data",)
+
+    def __init__(self, data: Mapping[str, Any]) -> None:
+        self._data = dict(data)
+
+    def __getitem__(self, key: str) -> Any:
+        return self._data[key]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._data)
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def __hash__(self) -> int:
+        try:
+            return hash(frozenset(self._data.items()))
+        except TypeError:  # an unhashable value: equal mappings share keys
+            return hash(frozenset(self._data))
+
+    def __repr__(self) -> str:
+        return repr(self._data)
+
+
 @dataclass(frozen=True)
 class SearchSpace:
     """One declarative knob space for a single app.
@@ -245,6 +277,7 @@ class SearchSpace:
     engine_mode: Optional[str] = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "app_kwargs", _FrozenKwargs(self.app_kwargs))
         names = [a.name for a in self.axes]
         if len(set(names)) != len(names):
             raise TuneError(f"duplicate axes {sorted(names)}")

@@ -229,6 +229,29 @@ class TestSerialization:
         b = tiny_space(cpu_scale=2.0)
         assert a.fingerprint() != b.fingerprint()
 
+    def test_spaces_are_hashable_set_members(self):
+        a = default_space("fft", app_kwargs={"n": 8})
+        same = SearchSpace.from_dict(json.loads(json.dumps(a.to_dict())))
+        other = default_space("fft", app_kwargs={"n": 16})
+        assert hash(a) == hash(same)
+        assert {a, same, other} == {a, other}
+        assert len({a, same, other, default_space("fft")}) == 3
+        assert {a: "seen"}[same] == "seen"
+
+    def test_app_kwargs_are_read_only_and_keep_the_wire_form(self):
+        kwargs = {"n": 8, "steps": 2}
+        space = default_space("fft", app_kwargs=kwargs)
+        with pytest.raises(TypeError):
+            space.app_kwargs["n"] = 16
+        kwargs["n"] = 16  # the caller's dict is not aliased
+        assert space.app_kwargs == {"n": 8, "steps": 2}
+        assert space.to_dict()["app_kwargs"] == {"n": 8, "steps": 2}
+        assert type(space.to_dict()["app_kwargs"]) is dict
+        assert space == SearchSpace.from_dict(space.to_dict())
+        assert space.fingerprint() == SearchSpace.from_dict(
+            space.to_dict()
+        ).fingerprint()
+
     def test_default_space_draws_registries(self):
         space = default_space("fft")
         variant_axis = space.axis("variant")
