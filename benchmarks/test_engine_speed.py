@@ -100,6 +100,6 @@ def test_interpreter_statement_throughput(benchmark):
 
     stmts_per_sec = benchmark.pedantic(run_once, rounds=3, iterations=1)
     benchmark.extra_info["statements_per_sec"] = round(stmts_per_sec)
-    # the closure fast path sustains millions; fail well before the
+    # the generated fast path sustains millions; fail well before the
     # tree-walking regime (~100k) is reached again
     assert stmts_per_sec > 150_000

@@ -720,14 +720,24 @@ _VARIANT_ROSTER: Tuple[Tuple[str, dict], ...] = (
 )
 
 
-def _preflight_variants(names, labels, *, sizes, nranks, dropped):
+def _preflight_variants(names, labels, *, sizes, nranks, dropped, memo=None):
     """Filter auto-joined variants down to those every roster workload
     survives (transform-only; no simulation).  Incompatible variants
-    land in ``dropped`` as ``label: reason`` strings."""
+    land in ``dropped`` as ``label: reason`` strings.
+
+    With ``memo`` (a session's transform memo), each transformation
+    runs through it with the options the sweep's expansion uses, so the
+    sweep that follows finds every surviving transformation done."""
     from ..apps import build_app
+    from ..transform.options import TransformOptions
     from ..transform.pipeline import resolve_variant
     from .runner import PreparedApp
+    from .sweep import _transform
 
+    options = TransformOptions(
+        tile_size=SweepSpec.tile_sizes[0],
+        interchange=SweepSpec.interchange[0],
+    )
     kept_names, kept_labels = [], []
     for variant, label in zip(names, labels):
         pipeline = resolve_variant(variant)
@@ -737,11 +747,19 @@ def _preflight_variants(names, labels, *, sizes, nranks, dropped):
                     kwargs = dict(kwargs)
                     if app_name in sizes:
                         kwargs["n"] = sizes[app_name]
+                    app = build_app(app_name, nranks=nranks, **kwargs)
+                    if memo is None:
+                        PreparedApp(
+                            app, variant=pipeline, verify=False, snapshots=False
+                        )
+                        continue
+                    report, _ = _transform(app, pipeline, options, memo)
                     PreparedApp(
-                        build_app(app_name, nranks=nranks, **kwargs),
+                        app,
+                        options=options,
                         variant=pipeline,
                         verify=False,
-                        snapshots=False,
+                        report=report,
                     )
         except ReproError as exc:
             dropped.append(f"{label}: {str(exc).splitlines()[0]}")
@@ -796,7 +814,12 @@ def ablation_variants(
         # variant (transform only — cheap) and drop the incompatible
         # ones with a note; explicitly-requested variants still raise.
         names, labels = _preflight_variants(
-            names, labels, sizes=sizes, nranks=nranks, dropped=dropped
+            names,
+            labels,
+            sizes=sizes,
+            nranks=nranks,
+            dropped=dropped,
+            memo=session._transforms if session is not None else None,
         )
     specs = []
     for app_name, kwargs in _VARIANT_ROSTER:

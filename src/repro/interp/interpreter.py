@@ -7,13 +7,13 @@ executed operation from the :class:`~repro.runtime.costmodel.CostModel`
 and is flushed to the engine as ``Compute`` events (always before any
 communication, so overlap timing is exact at MPI boundaries).
 
-Statements whose subtree contains no MPI call never yield: they are
-compiled once into specialized closures by
-:class:`~repro.interp.compiler.StmtCompiler` and executed eagerly, with
-their accumulated CPU charge batched into a single ``Compute`` event at
-the next communication point (identical virtual-time totals, far less
-Python overhead — DESIGN.md §5).  Only the communication skeleton pays
-the generator slow path below.
+Statements whose subtree contains no MPI call never yield: they run as
+Python functions that :class:`~repro.interp.compiler.StmtCompiler`
+generates once per job, executed eagerly, with their accumulated
+CPU charge batched into a single ``Compute`` event at the next
+communication point (identical virtual-time totals, far less Python
+overhead — DESIGN.md §5).  Only the communication skeleton pays the
+generator slow path below.
 
 MPI is intercepted by name:
 
@@ -56,7 +56,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Generator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -97,6 +107,9 @@ from ..runtime.events import Compute, SimOp
 from ..runtime.mpi import SimComm
 from .procedures import ExternalCall, ExternalRegistry
 from .values import FArray, Scalar
+
+if TYPE_CHECKING:
+    from .compiler import StmtCompiler
 
 Gen = Generator[SimOp, Any, Any]
 
@@ -149,6 +162,7 @@ class Interpreter:
         comm: Optional[SimComm] = None,
         cost_model: CostModel = DEFAULT_COST_MODEL,
         externals: Optional[ExternalRegistry] = None,
+        compiler: Optional["StmtCompiler"] = None,
     ) -> None:
         self.source = source
         self.comm = comm
@@ -159,11 +173,15 @@ class Interpreter:
         }
         self.output: List[Tuple[Any, ...]] = []
         # accumulated un-flushed compute seconds, held in a one-element
-        # list so compiled closures can charge it without a method call
+        # list the generated code reads once and writes back per region
         self._acc_cell: List[float] = [0.0]
-        from .compiler import StmtCompiler
+        if compiler is None:
+            from .compiler import StmtCompiler
 
-        self._compiler = StmtCompiler(self)
+            compiler = StmtCompiler(source, self.externals)
+        # shared by every rank of a job: the generated code takes the
+        # interpreter and the frame as parameters
+        self._compiler = compiler
         self._dummy_info: Dict[int, Dict[str, Tuple[str, List[DimSpec]]]] = {}
 
     # ------------------------------------------------------------- plumbing
@@ -260,13 +278,13 @@ class Interpreter:
     # ------------------------------------------------------------ statements
 
     def _exec_body(self, body: Sequence[Stmt], frame: Frame) -> Gen:
-        # Pure statements (no MPI anywhere below) were compiled to plain
-        # closures; they run eagerly without touching the generator
-        # machinery.  Only communication-bearing statements go through
-        # the yielding slow path.  See compiler.StmtCompiler.
+        # Pure statements (no MPI anywhere below) run as generated
+        # functions, eagerly, without touching the generator machinery.
+        # Only communication-bearing statements go through the yielding
+        # slow path.  See compiler.StmtCompiler.
         for fn, stmt in self._compiler.body_entries(body):
             if fn is not None:
-                fn(frame)
+                fn(self, frame)
             else:
                 yield from self._exec_stmt(stmt, frame)
 
@@ -836,10 +854,10 @@ class Interpreter:
     ) -> Scalar:
         """Arithmetic/comparison semantics on already-evaluated operands.
 
-        Split out from :meth:`_eval_binop` so the symmetry recorder's
-        compiled closures (:mod:`repro.interp.symmetry`) apply the exact
-        same value semantics — including the Fortran truncating integer
-        division — without duplicating them.
+        Split out from :meth:`_eval_binop` so generated code
+        (:mod:`repro.interp.compiler`, :mod:`repro.interp.symmetry`)
+        applies the exact same value semantics — including the Fortran
+        truncating integer division — without duplicating them.
         """
         if op == "+":
             return left + right
@@ -883,9 +901,9 @@ class Interpreter:
     def _intrinsic_value(self, name: str, args: List[Scalar], line: int) -> Scalar:
         """Intrinsic semantics on already-evaluated arguments.
 
-        Split out from :meth:`_eval_intrinsic` (after the charge) so the
-        symmetry recorder's compiled closures apply the exact same
-        semantics to rank-uniform arguments and to approximate
+        Split out from :meth:`_eval_intrinsic` (after the charge) so
+        generated code applies the exact same semantics, including to
+        the symmetry recorder's rank-uniform arguments and approximate
         representatives.
         """
         if name == "mod":

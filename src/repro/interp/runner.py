@@ -43,6 +43,7 @@ from ..runtime.mpi import SimComm
 from ..runtime.network import IDEAL, NetworkModel, resolve_model
 from ..runtime.simulator import ENGINE_VERSION, Engine
 from . import symmetry
+from .compiler import StmtCompiler
 from .interpreter import Interpreter
 from .procedures import ExternalRegistry
 from .values import FArray
@@ -101,12 +102,16 @@ def _simulate(
     """
     network = resolve_model(network)
     source = _as_source(program)
+    externals = externals or ExternalRegistry()
+    # one generated module serves every rank (DESIGN.md §5)
+    compiler = StmtCompiler(source, externals)
     interps = [
         Interpreter(
             source,
             comm=SimComm(rank, nranks, collectives=collective),
             cost_model=cost_model,
             externals=externals,
+            compiler=compiler,
         )
         for rank in range(nranks)
     ]
@@ -293,6 +298,8 @@ def execute_job(job: ClusterJob) -> ClusterRun:
             f"unknown engine_mode {mode!r} (expected 'auto', 'replay', "
             f"or 'full')"
         )
+    # parsed once: a replay attempt and its fallback share the AST
+    source = _as_source(job.program)
     if mode != "full":
         try:
             if job.externals is not None:
@@ -304,7 +311,7 @@ def execute_job(job: ClusterJob) -> ClusterRun:
             from .replay import replay_cluster
 
             return replay_cluster(
-                job.program,
+                source,
                 job.nranks,
                 job.network,
                 cost_model=job.cost_model,
@@ -317,7 +324,7 @@ def execute_job(job: ClusterJob) -> ClusterRun:
                     f"not provably rank-symmetric: {exc}"
                 ) from exc
     return _simulate(
-        job.program,
+        source,
         job.nranks,
         job.network,
         cost_model=job.cost_model,

@@ -21,23 +21,24 @@ recording succeeds, replaying the recorded trace is bit-identical to
 interpreting every rank (the parity suite in
 ``tests/integration/test_replay_parity.py`` checks exactly this claim).
 
-Expressions run through a compiled rank-vector value domain,
-:class:`VecCompiler` — the closure compiler of the fast path
+Expressions run through a generated rank-vector value domain,
+:class:`VecCompiler` — the code generator of the fast path
 (:mod:`repro.interp.compiler`, DESIGN.md §5) with vector-aware operator,
-intrinsic, array and assignment closures.  Scalar operands take the
-scalar closures' exact arithmetic and charges; a vector operand
+intrinsic, array and assignment emitters.  Scalar operands take the
+scalar domain's exact arithmetic and charges; a vector operand
 dispatches to the vector semantics below.  The taint checks need no
 code of their own: loop bounds, IF conditions and store subscripts pass
-through ``int()``/``bool()`` in the closures, and a vector refuses both.
-The recorder evaluates *every* expression this way, including those of
-the communication skeleton (MPI arguments, bounds of loops that contain
-MPI), so vector semantics have exactly one code path.
+through ``int()``/``bool()`` in the generated code, and a vector
+refuses both.  The recorder evaluates *every* expression this way,
+including those of the communication skeleton (MPI arguments, bounds of
+loops that contain MPI), so vector semantics have exactly one code
+path.
 
 What must match full interpretation, and how it is kept exact:
 
 * **Virtual time.**  Cost charges never depend on *values*, only on the
   statements executed, so the single recorded charge stream is every
-  rank's charge stream.  Pure statements run as compiled closures and
+  rank's charge stream.  Pure statements run as generated code and
   the communication skeleton through the interpreter's generator path,
   exactly as in full interpretation, so the ``Compute`` partition (and
   the order of every floating-point charge) is the fast path's by
@@ -85,6 +86,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import defaultdict
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -92,18 +94,20 @@ import numpy as np
 from ..errors import InterpError, SimulationError, SymmetryError
 from ..lang.ast_nodes import (
     ArrayRef,
-    BinOp,
+    CallStmt,
+    DoLoop,
     Expr,
-    FuncCall,
-    Print,
+    If,
+    Slice,
     SourceFile,
     Stmt,
-    UnaryOp,
-    VarRef,
+    TypeDecl,
+    WhileLoop,
 )
 from ..runtime.costmodel import DEFAULT_COST_MODEL, CostModel
-from .compiler import ExprFn, StmtCompiler, StmtFn
+from .compiler import StmtCompiler, _Fn, _intrinsic_type, _UnitTypes, _V
 from .interpreter import _MPI_CALLS, Frame, Gen, Interpreter
+from .procedures import ExternalRegistry
 from .values import FArray, Scalar
 
 # Bump when the recorder's semantics change in any way that could alter
@@ -121,8 +125,8 @@ MAX_SHADOW_BYTES = 256 * 1024 * 1024
 
 
 class _Vec:
-    """Common base of the rank-varying value kinds, so the compiled
-    closures' scalar fast path pays one ``isinstance`` per operand."""
+    """Common base of the rank-varying value kinds, so one
+    ``isinstance`` per operand tells a vector from a scalar."""
 
     __slots__ = ()
 
@@ -399,368 +403,420 @@ def _call_error(name: str) -> SymmetryError:
     )
 
 
-class VecCompiler(StmtCompiler):
-    """The closure compiler over the rank-vector value domain.
+def _vreal(x: Any) -> bool:
+    """Whether ``x`` — a scalar or a vector — charges as a real."""
+    c = x.__class__
+    if c is RankVec:
+        return x.values.dtype.kind == "f"
+    if c is ApproxVec:
+        return isinstance(x.rep, float)
+    return isinstance(x, float)
 
-    Only the closures whose operands can be vectors are replaced;
-    statements, loops and conditionals are the base compiler's (their
-    ``int()``/``bool()`` conversions are the taint checks).  Each
-    replacement keeps the base closure's evaluation order and charges,
-    and takes the scalar arithmetic unchanged when no operand is a
-    vector.
+
+def _vbin(op: str, l: Any, r: Any, line: int, last: List[Any]) -> Any:
+    """``l op r`` (already charged) when either side may be a vector.
+
+    Vectors are immutable, so the last result is reused while both
+    operands are the very same objects: ``last`` is one operator site's
+    ``[l, r, l op r]``, and a loop-invariant term such as
+    ``mynode() * 37`` costs one vector operation per site, not one per
+    iteration.
+    """
+    lc = l.__class__
+    rc = r.__class__
+    if lc is ApproxVec or rc is ApproxVec:
+        lr, rr = _rep_of(l), _rep_of(r)
+        is_real = isinstance(lr, float) or isinstance(rr, float)
+        return _approx(_binop_value, op, lr, rr, is_real, line)
+    if lc is not RankVec and rc is not RankVec:
+        is_real = isinstance(l, float) or isinstance(r, float)
+        return _binop_value(op, l, r, is_real, line)
+    if l is last[0] and r is last[1]:
+        return last[2]
+    if lc is RankVec:
+        lv = l.values
+        lk = lv.dtype.kind
+    else:
+        lv = l
+        lk = _SCALAR_KIND.get(lc)
+    if rc is RankVec:
+        rv = r.values
+        rk = rv.dtype.kind
+    else:
+        rv = r
+        rk = _SCALAR_KIND.get(rc)
+    cmp = _COMPARE.get(op)
+    if cmp is not None:
+        out = RankVec(cmp(lv, rv))
+    elif op == "**":
+        # Python's ** is int, real or an error depending on values
+        out = _elementwise(operator.pow, [l, r])
+    else:
+        if lk == "b":
+            lv = _num(lv)
+        if rk == "b":
+            rv = _num(rv)
+        arith = _ARITH.get(op)
+        if arith is not None:
+            out = RankVec(arith(lv, rv))
+        elif _has_zero(rv):  # "/": Python raises on any zero divisor
+            raise _failing("division by zero")
+        elif lk == "f" or rk == "f":
+            out = RankVec(lv / rv)
+        else:
+            q = abs(lv) // abs(rv)
+            out = RankVec(np.where((lv >= 0) == (rv >= 0), q, -q))
+    last[0] = l
+    last[1] = r
+    last[2] = out
+    return out
+
+
+def _vneg(v: Any) -> Any:
+    if v.__class__ is RankVec:
+        return RankVec(-_num(v.values))
+    if v.__class__ is ApproxVec:
+        return ApproxVec(-v.rep)
+    return -v
+
+
+def _vintrinsic(itp: Any, name: str, args: List[Any], line: int) -> Any:
+    """Evaluate intrinsic ``name`` (already charged) when some argument
+    is a vector."""
+    scalar = itp._intrinsic_value
+    if name not in _INTRINSIC_ARITY:
+        return scalar(name, args, line)  # size() / unknown: its error
+    used = args[: _INTRINSIC_ARITY[name]]
+    if not any(isinstance(a, _Vec) for a in used):
+        return scalar(name, args, line)  # only ignored args vary
+    if any(isinstance(a, ApproxVec) for a in used):
+        return _approx(scalar, name, [_rep_of(a) for a in args], line)
+    vals = [a.values if isinstance(a, RankVec) else a for a in args]
+    if name == "mod":
+        a, b = vals
+        if _has_zero(b):
+            raise _failing("mod with a zero divisor")
+        # isinstance(v, int) on the scalar path (bool is an int)
+        ints = ("b", "i")
+        real = not (_kind(args[0]) in ints and _kind(args[1]) in ints)
+        if real and np.isinf(a).any():
+            raise _failing("mod of an infinite dividend")
+        return RankVec(np.fmod(_num(a), _num(b)))
+    if name in ("min", "max"):
+        if all(_kind(a) == "i" for a in args):
+            fold = np.minimum if name == "min" else np.maximum
+            out = vals[0]
+            for v in vals[1:]:
+                out = fold(out, v)
+            return RankVec(out)
+        pick = min if name == "min" else max
+        return _elementwise(lambda *xs: pick(xs), args)
+    v = vals[0]
+    if name == "abs":
+        return RankVec(np.abs(_num(v)))
+    if name == "int":
+        return RankVec(_ints(v))
+    if name == "real":
+        return RankVec(_num(v).astype(np.float64))
+    if name == "sqrt":
+        if (v < 0).any():
+            raise _failing("sqrt of a negative argument")
+        return RankVec(np.sqrt(_num(v)))
+    if name in ("sin", "cos", "exp", "log"):
+        # through libm rank by rank: numpy's SIMD kernels for these
+        # are not guaranteed bit-identical to math.*
+        return _elementwise(getattr(math, name), args[:1])
+    if name == "merge":
+        t, f, cond = args[0], args[1], args[2]
+        if not isinstance(cond, RankVec):
+            return t if bool(cond) else f
+        if _kind(t) is not None and _kind(t) == _kind(f):
+            return RankVec(np.where(cond.values != 0, vals[0], vals[1]))
+        return _elementwise(lambda x, y, c: x if c else y, args[:3])
+    a, b = _ints(vals[0]), _ints(vals[1])
+    if name == "iand":
+        return RankVec(a & b)
+    if name == "ior":
+        return RankVec(a | b)
+    if name == "ieor":
+        return RankVec(a ^ b)
+    # ishft
+    left = np.left_shift(a, np.maximum(b, 0))
+    right = np.right_shift(a, np.maximum(-b, 0))
+    return RankVec(np.asarray(np.where(b >= 0, left, right)))
+
+
+def _vcall(itp: Any, name: str, args: List[Any], line: int) -> Any:
+    for a in args:
+        if isinstance(a, _Vec):
+            return _vintrinsic(itp, name, args, line)
+    return itp._intrinsic_value(name, args, line)
+
+
+def _vmod(itp: Any, a: Any, b: Any, line: int) -> Any:
+    if a.__class__ is RankVec and b.__class__ is int and b:
+        v = a.values
+        if v.dtype.kind == "i":  # the common integer case
+            return RankVec(np.fmod(v, b))
+    return _vcall(itp, "mod", [a, b], line)
+
+
+def _vscalar(v: Any, t: str, coerce: Callable[[Any, str], Any]) -> Any:
+    """A value stored into a scalar declared ``t``."""
+    if isinstance(v, _Vec):
+        if v.__class__ is RankVec and v.values.dtype.kind == _TYPE_KIND.get(t):
+            return v  # already of the declared type
+        return coerce(v, t)
+    if t == "integer":
+        return int(v)
+    if t == "real":
+        return float(v)
+    return bool(v)
+
+
+def _vstore(
+    itp: Any, name: str, arr: FArray, subs: List[Any], v: Any, line: int
+) -> None:
+    if v.__class__ is RankVec:
+        # the hot case: a rank-dependent value into a shadow
+        shadow = itp.shadows.get(name)
+        if shadow is not None:
+            off = _exact_offset(arr, subs)
+            if off is not None:
+                shadow[:, off] = v.values
+                return
+    itp._store_element(name, arr, subs, v, line)
+
+
+def _vprint(out: List[Tuple[Any, ...]], values: Tuple[Any, ...]) -> None:
+    for v in values:
+        if isinstance(v, ApproxVec):
+            raise v._dropped("in printed output")
+    out.append(values)
+
+
+_binop_value = Interpreter._binop_value
+
+_CONVERT = {"integer": "int", "real": "float", "logical": "bool"}
+
+
+class VecCompiler(StmtCompiler):
+    """The code generator over the rank-vector value domain.
+
+    Only the emitters whose operands can be vectors are replaced — the
+    operators, intrinsics, array reads and stores, and scalar stores —
+    plus print (approximate values are unobservable) and calls (outside
+    the proof).  Statements, loops and conditionals are the base
+    generator's, whose ``int()``/``bool()`` conversions of a value that
+    may be a vector are kept: those are the taint checks.  Operands that
+    are certainly scalars take the base emitters unchanged; the others
+    call the vector helpers above, with the same evaluation order and
+    charges.  The communication skeleton's expressions are compiled up
+    front as functions of their own, so the recorder evaluates every
+    expression through generated code.
     """
 
-    # ------------------------------------------------- vector operations
+    scalar_var = False
 
-    def vector_binop(self, op: str, line: int) -> Callable[[Any, Any], Any]:
-        """The vector half of one ``op`` closure: charge and evaluate
-        ``l op r`` when either side is a vector.
+    def __init__(self, source: SourceFile, externals: ExternalRegistry) -> None:
+        super().__init__(source, externals)
+        self._sites = itertools.count()  # operator sites, across modules
 
-        Vectors are immutable, so the last result is reused while both
-        operands are the very same objects — a loop-invariant term such
-        as ``mynode() * 37`` costs one vector operation per closure, not
-        one per iteration (the charge is still taken every time).
-        """
-        acc = self.acc
-        iop = self.cost.int_op
-        rop = self.cost.real_op
-        arith = _ARITH.get(op)
-        cmp = _COMPARE.get(op)
-        value = Interpreter._binop_value
-        last: List[Any] = [None, None, None]  # l, r, l op r
+    def memo(self, fn: _Fn) -> str:
+        """A fresh operator site's slot in the recorder's ``_site_memo``."""
+        return f"{fn.need('VM', 'itp._site_memo')}[{next(self._sites)}]"
 
-        def vec(l: Any, r: Any) -> Any:
-            if l.__class__ is ApproxVec or r.__class__ is ApproxVec:
-                lr, rr = _rep_of(l), _rep_of(r)
-                is_real = isinstance(lr, float) or isinstance(rr, float)
-                acc[0] += rop if is_real else iop
-                return _approx(value, op, lr, rr, is_real, line)
-            if l.__class__ is RankVec:
-                lv = l.values
-                lk = lv.dtype.kind
-            else:
-                lv = l
-                lk = _SCALAR_KIND.get(l.__class__)
-            if r.__class__ is RankVec:
-                rv = r.values
-                rk = rv.dtype.kind
-            else:
-                rv = r
-                rk = _SCALAR_KIND.get(r.__class__)
-            is_real = lk == "f" or rk == "f"
-            acc[0] += rop if is_real else iop
-            if l is last[0] and r is last[1]:
-                return last[2]
-            if cmp is not None:
-                out = RankVec(cmp(lv, rv))
-            elif op == "**":
-                # Python's ** is int, real or an error depending on values
-                out = _elementwise(operator.pow, [l, r])
-            else:
-                if lk == "b":
-                    lv = _num(lv)
-                if rk == "b":
-                    rv = _num(rv)
-                if arith is not None:
-                    out = RankVec(arith(lv, rv))
-                elif _has_zero(rv):  # "/": Python raises on any zero divisor
-                    raise _failing("division by zero")
-                elif is_real:
-                    out = RankVec(lv / rv)
-                else:
-                    q = abs(lv) // abs(rv)
-                    out = RankVec(np.where((lv >= 0) == (rv >= 0), q, -q))
-            last[0] = l
-            last[1] = r
-            last[2] = out
-            return out
+    def runtime(self) -> Dict[str, Any]:
+        return {
+            **super().runtime(),
+            "_vbin": _vbin,
+            "_vneg": _vneg,
+            "_vmod": _vmod,
+            "_vcall": _vcall,
+            "_vreal": _vreal,
+            "_vscalar": _vscalar,
+            "_vstore": _vstore,
+            "_vprint": _vprint,
+            "_call_error": _call_error,
+        }
 
-        return vec
+    def _skeleton(self):
+        main = self.source.main
+        types = _UnitTypes(main)
+        out: Dict[int, Tuple[Expr, Any]] = {}
 
-    def intrinsic(self, name: str, args: List[Any], line: int) -> Any:
-        """Evaluate intrinsic ``name`` (already charged) when some
-        argument is a vector."""
-        scalar = self.interp._intrinsic_value
-        if name not in _INTRINSIC_ARITY:
-            return scalar(name, args, line)  # size() / unknown: its error
-        used = args[: _INTRINSIC_ARITY[name]]
-        if not any(isinstance(a, _Vec) for a in used):
-            return scalar(name, args, line)  # only ignored args vary
-        if any(isinstance(a, ApproxVec) for a in used):
-            return _approx(scalar, name, [_rep_of(a) for a in args], line)
-        vals = [a.values if isinstance(a, RankVec) else a for a in args]
-        if name == "mod":
-            a, b = vals
-            if _has_zero(b):
-                raise _failing("mod with a zero divisor")
-            # isinstance(v, int) on the scalar path (bool is an int)
-            ints = ("b", "i")
-            real = not (_kind(args[0]) in ints and _kind(args[1]) in ints)
-            if real and np.isinf(a).any():
-                raise _failing("mod of an infinite dividend")
-            return RankVec(np.fmod(_num(a), _num(b)))
-        if name in ("min", "max"):
-            if all(_kind(a) == "i" for a in args):
-                fold = np.minimum if name == "min" else np.maximum
-                out = vals[0]
-                for v in vals[1:]:
-                    out = fold(out, v)
-                return RankVec(out)
-            pick = min if name == "min" else max
-            return _elementwise(lambda *xs: pick(xs), args)
-        v = vals[0]
-        if name == "abs":
-            return RankVec(np.abs(_num(v)))
-        if name == "int":
-            return RankVec(_ints(v))
-        if name == "real":
-            return RankVec(_num(v).astype(np.float64))
-        if name == "sqrt":
-            if (v < 0).any():
-                raise _failing("sqrt of a negative argument")
-            return RankVec(np.sqrt(_num(v)))
-        if name in ("sin", "cos", "exp", "log"):
-            # through libm rank by rank: numpy's SIMD kernels for these
-            # are not guaranteed bit-identical to math.*
-            return _elementwise(getattr(math, name), args[:1])
-        if name == "merge":
-            t, f, cond = args[0], args[1], args[2]
-            if not isinstance(cond, RankVec):
-                return t if bool(cond) else f
-            if _kind(t) is not None and _kind(t) == _kind(f):
-                return RankVec(np.where(cond.values != 0, vals[0], vals[1]))
-            return _elementwise(lambda x, y, c: x if c else y, args[:3])
-        a, b = _ints(vals[0]), _ints(vals[1])
-        if name == "iand":
-            return RankVec(a & b)
-        if name == "ior":
-            return RankVec(a | b)
-        if name == "ieor":
-            return RankVec(a ^ b)
-        # ishft
-        left = np.left_shift(a, np.maximum(b, 0))
-        right = np.right_shift(a, np.maximum(-b, 0))
-        return RankVec(np.asarray(np.where(b >= 0, left, right)))
+        def add(e: Optional[Expr], types: _UnitTypes = types) -> None:
+            if e is not None:
+                out.setdefault(id(e), (e, types))
 
-    # ---------------------------------------------------------- closures
+        # a declaration may read a name declared after it, still unbound
+        # while the declarations elaborate: no static types, so every
+        # read is a checked lookup that raises the program's own error
+        unbound = _UnitTypes(None)
+        for decl in main.decls:
+            if isinstance(decl, TypeDecl):
+                for ent in decl.entities:
+                    add(ent.init, unbound)
+                    for d in ent.dims:
+                        add(d.lo, unbound)
+                        add(d.hi, unbound)
 
-    def _compile_stmt(self, s: Stmt) -> StmtFn:
-        if not isinstance(s, Print):
-            return super()._compile_stmt(s)
-        acc = self.acc
-        so = self.cost.stmt_overhead
-        itemfs = [self.expr(e) for e in s.items]
-        out = self.interp.output
+        def walk(body: List[Stmt]) -> None:
+            for s in body:
+                if self.stmt_is_pure(s):
+                    continue
+                if isinstance(s, DoLoop):
+                    add(s.lo)
+                    add(s.hi)
+                    add(s.step)
+                    walk(s.body)
+                elif isinstance(s, WhileLoop):
+                    add(s.cond)
+                    walk(s.body)
+                elif isinstance(s, If):
+                    for cond, b in s.branches:
+                        add(cond)
+                        walk(b)
+                    walk(s.else_body)
+                elif isinstance(s, CallStmt):
+                    for a in s.args:
+                        if not isinstance(a, ArrayRef):
+                            add(a)
+                            continue
+                        for sub in a.subs:
+                            if isinstance(sub, Slice):
+                                add(sub.lo)
+                                add(sub.hi)
+                            else:
+                                add(sub)
 
-        def run_print(f):
-            acc[0] += so
-            values = tuple(itf(f) for itf in itemfs)
-            for v in values:
-                if isinstance(v, ApproxVec):
-                    raise v._dropped("in printed output")
-            out.append(values)
+        walk(main.body)
+        return list(out.values())
 
-        return run_print
+    # --------------------------------------------------------- emitters
 
-    def _compile_call(self, s) -> StmtFn:
-        name = s.name
+    def is_real(self, v: _V) -> str:
+        if v.scalar or v.type is not None:
+            return super().is_real(v)
+        return f"_vreal({v.code})"
 
-        def run_call(f):
-            raise _call_error(name)
+    def binop_value(self, op: str, l: _V, r: _V, line: int, fn: _Fn) -> _V:
+        if l.scalar and r.scalar or op not in _SCALAR_BINOPS and op not in (
+            "/",
+            "**",
+        ):
+            return super().binop_value(op, l, r, line, fn)
+        l, r = fn.atom(l), fn.atom(r)
+        real = self.charge_for(l, r, fn)
+        t = fn.temp()
+        vec = f"_vbin({op!r}, {l.code}, {r.code}, {line}, {self.memo(fn)})"
+        checks = [f"{x.code}.__class__ is int" for x in (l, r) if not x.scalar]
+        if op in _SCALAR_BINOPS:
+            py = {"/=": "!="}.get(op, op)
+            fn.emit(f"{t} = {l.code} {py} {r.code} if {' and '.join(checks)} "
+                    f"else {vec}")
+        else:
+            fn.emit(f"{t} = {vec}")
+        if op in _COMPARE:
+            rt = "b"
+        elif op == "**" or real is None:
+            rt = None
+        else:
+            rt = "f" if real else "i"
+        return _V(t, rt, False)
 
-        return run_call
+    def negate(self, v: _V, fn: _Fn) -> _V:
+        if v.scalar:
+            return super().negate(v, fn)
+        v = fn.atom(v)
+        if v.type == "f" or v.type in ("i", "b", "n"):
+            fn.charge(self.ROP if v.type == "f" else self.IOP)
+            rt = "f" if v.type == "f" else "i"
+        else:
+            k = fn.temp("k")
+            fn.emit(f"{k} = _vreal({v.code})")
+            fn.charge(f"({self.ROP} if {k} else {self.IOP})")
+            rt = None
+        t = fn.temp()
+        fn.emit(f"{t} = -{v.code} if {v.code}.__class__ is int else "
+                f"_vneg({v.code})")
+        return _V(t, rt, False)
 
-    def _compile_assign(self, s) -> StmtFn:
-        acc = self.acc
-        so = self.cost.stmt_overhead
-        mem = self.cost.mem_access
-        itp = self.interp
-        rhs = self.expr(s.rhs)
-        lhs = s.lhs
-        line = s.line
+    def mynode(self, fn: _Fn) -> _V:
+        return _V(fn.need("MYNODE", "itp._mynode"), "i", False)
 
-        if isinstance(lhs, VarRef):
-            name = lhs.name
-            coerce = itp._coerce
+    def numnodes(self, fn: _Fn) -> _V:
+        return _V(fn.need("NRANKS", "itp.nranks"), "i")
 
-            def run_scalar(f):
-                acc[0] += so
-                v = rhs(f)
-                scalars = f.scalars
-                if name not in scalars:
-                    raise InterpError(f"undeclared scalar {name!r}", line)
-                t = f.types.get(name, "integer")
-                if isinstance(v, _Vec):
-                    if (
-                        v.__class__ is RankVec
-                        and v.values.dtype.kind == _TYPE_KIND.get(t)
-                    ):
-                        scalars[name] = v  # already of the declared type
-                    else:
-                        scalars[name] = coerce(v, t)
-                elif t == "integer":
-                    scalars[name] = int(v)
-                elif t == "real":
-                    scalars[name] = float(v)
-                else:
-                    scalars[name] = bool(v)
+    def intrinsic(self, name: str, args: List[_V], line: int, fn: _Fn) -> _V:
+        if all(a.scalar for a in args):
+            return super().intrinsic(name, args, line, fn)
+        args = [fn.atom(a) for a in args]
+        codes = ", ".join(a.code for a in args)
+        rt = _intrinsic_type(name, [a.type for a in args])
+        t = fn.temp()
+        if name == "mod" and rt == "i":
+            # rank-uniform ints take the scalar path's own arithmetic
+            a, b = args
+            checks = [f"{x.code}.__class__ is int" for x in args if not x.scalar]
+            if not (b.scalar and b.code.isdigit() and int(b.code) > 0):
+                checks.append(b.code)  # a zero divisor raises in _vmod
+            fn.emit(f"{t} = int(_fmod({a.code}, {b.code})) if "
+                    f"{' and '.join(checks)} else _vmod(itp, {codes}, {line})")
+        elif name == "mod" and len(args) == 2:
+            fn.emit(f"{t} = _vmod(itp, {codes}, {line})")
+        else:
+            fn.emit(f"{t} = _vcall(itp, {name!r}, [{codes}], {line})")
+        return _V(t, rt, False)
 
-            return run_scalar
+    def hoist_array(self, name: str, slot: int, fn: _Fn) -> List[str]:
+        return [f"A{slot} = f.arrays[{name!r}]"]
 
-        if isinstance(lhs, ArrayRef):
-            name = lhs.name
-            subfs = [self.expr(e) for e in lhs.subs]
-            store = itp._store_element
-            shadows = itp.shadows
+    def array_get(self, e: ArrayRef, fn: _Fn) -> _V:
+        arr = self.array(e.name, e.line, fn)
+        subs = [fn.atom(self.expr_value(s, fn)).code for s in e.subs]
+        fn.charge(self.MEM)
+        read = fn.need("RD", "itp._read_element")
+        t = fn.temp()
+        fn.emit(f"{t} = {read}({e.name!r}, {arr}, [{', '.join(subs)}], "
+                f"{e.line})")
+        info = fn.types.arrays.get(e.name)
+        rt = None
+        if info is not None and not info[2]:
+            rt = "f" if info[0] == "real" else "i"
+        return _V(t, rt, False)
 
-            def run_set(f):
-                acc[0] += so
-                v = rhs(f)
-                arr = f.arrays.get(name)
-                if arr is None:
-                    raise InterpError(f"undeclared array {name!r}", line)
-                subs = [sf(f) for sf in subfs]
-                acc[0] += mem
-                if v.__class__ is RankVec:
-                    # the hot case: a rank-dependent value into a shadow
-                    shadow = shadows.get(name)
-                    if shadow is not None:
-                        off = _exact_offset(arr, subs)
-                        if off is not None:
-                            shadow[:, off] = v.values
-                            return
-                store(name, arr, subs, v, line)
+    def assign_scalar(self, name: str, v: _V, line: int, fn: _Fn) -> None:
+        if v.scalar:
+            return super().assign_scalar(name, v, line, fn)
+        v = fn.atom(v)
+        coerce = fn.need("CO", "itp._coerce")
+        fn.need("sc", "f.scalars")
+        t = fn.types.declared.get(name)
+        if t is None:
+            msg = f"undeclared scalar {name!r}"
+            fn.emit(f"if {name!r} not in sc:")
+            fn.emit(f"    raise InterpError({msg!r}, {line})")
+            fn.emit(f"sc[{name!r}] = _vscalar({v.code}, "
+                    f"f.types.get({name!r}, 'integer'), {coerce})")
+            return
+        fn.emit(f"sc[{name!r}] = {v.code} if {v.code}.__class__ is "
+                f"{_CONVERT[t]} else _vscalar({v.code}, {t!r}, {coerce})")
 
-            return run_set
+    def assign_array(self, lhs: ArrayRef, v: _V, line: int, fn: _Fn) -> None:
+        v = fn.atom(v)
+        arr = self.array(lhs.name, line, fn)
+        subs = [fn.atom(self.expr_value(e, fn)).code for e in lhs.subs]
+        fn.charge(self.MEM)
+        fn.emit(f"_vstore(itp, {lhs.name!r}, {arr}, [{', '.join(subs)}], "
+                f"{v.code}, {line})")
 
-        return super()._compile_assign(s)
+    def output(self, items: List[str], fn: _Fn) -> None:
+        values = "".join(f"{c}, " for c in items)
+        fn.emit(f"_vprint(itp.output, ({values}))")
 
-    def _compile_array_get(self, e: ArrayRef) -> ExprFn:
-        acc = self.acc
-        mem = self.cost.mem_access
-        name = e.name
-        line = e.line
-        subfs = [self.expr(s) for s in e.subs]
-        read = self.interp._read_element
-
-        def run_get(f):
-            arr = f.arrays.get(name)
-            if arr is None:
-                raise InterpError(f"undeclared array {name!r}", line)
-            subs = [sf(f) for sf in subfs]
-            acc[0] += mem
-            return read(name, arr, subs, line)
-
-        return run_get
-
-    def _compile_binop(self, e: BinOp) -> ExprFn:
-        op = e.op
-        if op not in _SCALAR_BINOPS and op not in ("/", "**"):
-            # .and./.or. take bool() of each side, which a vector
-            # refuses; an unknown operator raises as on the scalar path
-            return super()._compile_binop(e)
-        acc = self.acc
-        iop = self.cost.int_op
-        rop = self.cost.real_op
-        lf = self.expr(e.left)
-        rf = self.expr(e.right)
-        line = e.line
-        vec = self.vector_binop(op, line)
-
-        pyop = _SCALAR_BINOPS.get(op)
-        if pyop is not None:
-
-            def run_op(f):
-                l = lf(f)
-                r = rf(f)
-                if l.__class__ is int and r.__class__ is int:
-                    acc[0] += iop  # the common case, checked first
-                    return pyop(l, r)
-                if isinstance(l, _Vec) or isinstance(r, _Vec):
-                    return vec(l, r)
-                acc[0] += (
-                    rop if isinstance(l, float) or isinstance(r, float) else iop
-                )
-                return pyop(l, r)
-
-            return run_op
-
-        value = Interpreter._binop_value
-
-        def run_div_pow(f):
-            l = lf(f)
-            r = rf(f)
-            if isinstance(l, _Vec) or isinstance(r, _Vec):
-                return vec(l, r)
-            is_real = isinstance(l, float) or isinstance(r, float)
-            acc[0] += rop if is_real else iop
-            return value(op, l, r, is_real, line)
-
-        return run_div_pow
-
-    def _compile_unop(self, e: UnaryOp) -> ExprFn:
-        if e.op != "-":
-            return super()._compile_unop(e)  # .not. takes bool()
-        acc = self.acc
-        iop = self.cost.int_op
-        rop = self.cost.real_op
-        vf = self.expr(e.operand)
-
-        def run_neg(f):
-            v = vf(f)
-            if isinstance(v, RankVec):
-                acc[0] += rop if v.values.dtype.kind == "f" else iop
-                return RankVec(-_num(v.values))
-            if isinstance(v, ApproxVec):
-                acc[0] += rop if v.is_real else iop
-                return ApproxVec(-v.rep)
-            acc[0] += rop if isinstance(v, float) else iop
-            return -v
-
-        return run_neg
-
-    def _compile_funcall(self, e: FuncCall) -> ExprFn:
-        itp = self.interp
-        name = e.name
-        if name == "mynode":
-            mynode = itp._mynode
-            return lambda f: mynode
-        if name == "numnodes":
-            nranks = itp.nranks
-            return lambda f: nranks
-        acc = self.acc
-        intr = self.cost.intrinsic
-        line = e.line
-        argfs = [self.expr(a) for a in e.args]
-        scalar = itp._intrinsic_value
-        vec = self.intrinsic
-
-        if name == "mod" and len(argfs) == 2:
-            a0, a1 = argfs
-
-            def run_mod(f):
-                a = a0(f)
-                b = a1(f)
-                acc[0] += intr
-                if a.__class__ is RankVec and b.__class__ is int and b:
-                    v = a.values
-                    if v.dtype.kind == "i":  # the common integer case
-                        return RankVec(np.fmod(v, b))
-                if isinstance(a, _Vec) or isinstance(b, _Vec):
-                    return vec(name, [a, b], line)
-                return scalar(name, [a, b], line)
-
-            return run_mod
-
-        def run_intrinsic(f):
-            args = [af(f) for af in argfs]
-            acc[0] += intr
-            for a in args:
-                if isinstance(a, _Vec):
-                    return vec(name, args, line)
-            return scalar(name, args, line)
-
-        return run_intrinsic
+    def call(self, s, fn: _Fn) -> None:
+        fn.emit(f"raise _call_error({s.name!r})")
 
 
 class SymmetryRecorder(Interpreter):
@@ -783,7 +839,16 @@ class SymmetryRecorder(Interpreter):
     ) -> None:
         if nranks < 1:
             raise SimulationError(f"cannot record a trace for {nranks} ranks")
-        super().__init__(source, comm=None, cost_model=cost_model)
+        super().__init__(
+            source,
+            comm=None,
+            cost_model=cost_model,
+            compiler=VecCompiler(source, ExternalRegistry()),
+        )
+        # each operator site's last vector result (see _vbin)
+        self._site_memo: Dict[int, List[Any]] = defaultdict(
+            lambda: [None, None, None]
+        )
         self.nranks = nranks
         self.max_shadow_bytes = max_shadow_bytes
         self.trace: List[TraceEvent] = []
@@ -794,7 +859,6 @@ class SymmetryRecorder(Interpreter):
         # arrays degraded to an approximate representative copy
         self._approx: Set[str] = set()
         self._mynode = RankVec(np.arange(nranks, dtype=np.int64))
-        self._compiler = VecCompiler(self)
 
     @property
     def data_approximate(self) -> bool:
@@ -804,9 +868,8 @@ class SymmetryRecorder(Interpreter):
 
     def _eval(self, e: Expr, frame: Frame) -> Any:
         # the communication skeleton (loop bounds, IF conditions, MPI
-        # arguments, declarations) evaluates through the same compiled
-        # vector closures as the pure regions
-        return self._compiler.expr(e)(frame)
+        # arguments, declarations) evaluates through generated code too
+        return self._compiler.expr(e)(self, frame)
 
     def _exec_call(self, stmt, frame: Frame) -> Gen:
         if stmt.name in _MPI_CALLS:

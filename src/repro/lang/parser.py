@@ -521,7 +521,11 @@ class Parser:
             inner = self.expr()
             self._expect(TokenKind.RPAREN)
             return inner
-        if t.kind is TokenKind.IDENT:
+        if t.kind is TokenKind.IDENT or (
+            t.is_kw("real") and self._peek(1).kind is TokenKind.LPAREN
+        ):
+            # ``real`` lexes as a type keyword, but a declaration never
+            # starts inside an expression: ``real(`` here is the intrinsic
             self._advance()
             if self.cur.kind is TokenKind.LPAREN:
                 subs = self._subscript_list()

@@ -235,6 +235,43 @@ class TestAblationVariants:
             "tile-only",
         }
 
+    def test_preflight_transforms_through_the_session_memo(
+        self, monkeypatch
+    ):
+        """With a session, the auto-roster pre-flight runs each
+        transformation through the session's memo with the sweep's own
+        options, so the sweep transforms nothing again; the table and
+        its dropped-variant notes are the sessionless ones."""
+        from repro.transform.pipeline import _VARIANTS, register_variant
+
+        calls = []
+        run = Pipeline.run
+
+        def counting(self, source, *args, **kwargs):
+            calls.append((self.name, str(source)))
+            return run(self, source, *args, **kwargs)
+
+        monkeypatch.setattr(Pipeline, "run", counting)
+        name = "vtest-direct-strict-memo"
+        register_variant(name, Pipeline((TilePass(), CommGenPass())))
+        kwargs = dict(
+            sizes={"fft": 8, "nodeloop": 8, "indirect": 8},
+            nranks=4,
+            networks=("gmnet",),
+            verify=False,
+        )
+        try:
+            plain = ablation_variants(**kwargs)
+            assert len(set(calls)) < len(calls)  # the sweep repeats them
+            del calls[:]
+            shared = ablation_variants(session=Session(), **kwargs)
+        finally:
+            _VARIANTS.pop(name, None)
+        assert len(set(calls)) == len(calls)  # each one exactly once
+        assert any(name in n for n in shared.notes)
+        assert shared.notes == plain.notes
+        assert shared.rows == plain.rows
+
     def test_rejects_unregistered_variant(self):
         with pytest.raises(ReproError, match="unknown variants"):
             ablation_variants(

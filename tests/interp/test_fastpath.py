@@ -1,19 +1,129 @@
 """The compiled fast path: purity analysis and semantic/timing parity.
 
-The closure compiler (repro.interp.compiler) must be invisible: same
+The code generator (repro.interp.compiler) must be invisible: same
 values, same printed output, same virtual-time totals as the generator
 slow path.  These tests pin the behaviors that are easiest to get
-subtly wrong — control flow exceptions crossing compiled frames,
-recursion through lazily compiled bodies, and Compute-event batching.
+subtly wrong — control flow exceptions crossing generated functions,
+recursion through generated subroutine bodies, and Compute-event
+batching.  The programs are module constants so the codegen parity
+suite (test_codegen_parity.py) runs them too.
 """
 
 import pytest
 
+from repro import Job, Session
 from repro.errors import InterpError
 from repro.interp import Interpreter
-from repro.interp.runner import run_cluster, run_serial
+from repro.interp.runner import run_serial
 from repro.lang import parse
 from repro.runtime.costmodel import CostModel
+
+
+MUTUAL_RECURSION_SRC = """
+program t
+  integer :: ierr, n
+
+  n = 2
+  call a(n, ierr)
+end program t
+
+subroutine a(n, r)
+  integer :: n, r
+
+  call b(n, r)
+  call mpi_barrier(0, r)
+end subroutine a
+
+subroutine b(n, r)
+  integer :: n, r
+
+  if (n > 0) then
+    n = n - 1
+    call a(n, r)
+  endif
+end subroutine b
+"""
+
+EXIT_CYCLE_SRC = """
+program t
+  integer :: i, j, hits
+
+  hits = 0
+  do i = 1, 5
+    do j = 1, 5
+      if (j == 3) then
+        cycle
+      endif
+      if (j == 4 .and. i >= 3) then
+        exit
+      endif
+      hits = hits + 1
+    enddo
+  enddo
+  print *, hits, i, j
+end program t
+"""
+
+WHILE_EXIT_SRC = """
+program t
+  integer :: n, steps
+
+  n = 27
+  steps = 0
+  do while (n /= 1)
+    if (steps > 200) then
+      exit
+    endif
+    if (mod(n, 2) == 0) then
+      n = n / 2
+    else
+      n = 3 * n + 1
+    endif
+    steps = steps + 1
+  enddo
+  print *, n, steps
+end program t
+"""
+
+RECURSIVE_SRC = """
+program t
+  integer :: r
+
+  r = 0
+  call fact(5, r)
+  print *, r
+end program t
+
+subroutine fact(n, r)
+  integer :: n, r
+
+  if (n <= 1) then
+    r = 1
+  else
+    call fact(n - 1, r)
+    r = r * n
+  endif
+end subroutine fact
+"""
+
+TIMING_SRC = """
+program t
+  integer :: a(1:32)
+  integer :: i, k, s, ierr
+
+  s = 0
+  do k = 1, 4
+    do i = 1, 32
+      a(i) = i * k
+    enddo
+    call mpi_barrier(0, ierr)
+    do i = 1, 32
+      s = s + a(i)
+    enddo
+  enddo
+  print *, s
+end program t
+"""
 
 
 class TestPurity:
@@ -82,111 +192,32 @@ class TestMutualRecursionPurity:
         """A member of a mutual-recursion cycle whose partner reaches MPI
         must be classified impure — an optimistic recursive memo would
         finalize it as pure and crash the compiled fast path."""
-        src = """
-program t
-  integer :: ierr, n
-
-  n = 2
-  call a(n, ierr)
-end program t
-
-subroutine a(n, r)
-  integer :: n, r
-
-  call b(n, r)
-  call mpi_barrier(0, r)
-end subroutine a
-
-subroutine b(n, r)
-  integer :: n, r
-
-  if (n > 0) then
-    n = n - 1
-    call a(n, r)
-  endif
-end subroutine b
-"""
+        src = MUTUAL_RECURSION_SRC
         it = Interpreter(parse(src))
         compiler = it._compiler
         for unit in it.subroutines.values():
             assert not compiler.sub_is_pure(unit)
         # and the program actually runs on the cluster without tripping
         # the fast path's pure-region invariant
-        run = run_cluster(src, nranks=2)
+        run = Session().run(Job(program=src, nranks=2, network="ideal"))
         assert run.time > 0
 
 
 class TestControlFlowParity:
     def test_exit_and_cycle_in_nested_pure_loops(self):
-        src = """
-program t
-  integer :: i, j, hits
-
-  hits = 0
-  do i = 1, 5
-    do j = 1, 5
-      if (j == 3) then
-        cycle
-      endif
-      if (j == 4 .and. i >= 3) then
-        exit
-      endif
-      hits = hits + 1
-    enddo
-  enddo
-  print *, hits, i, j
-end program t
-"""
+        src = EXIT_CYCLE_SRC
         run = run_serial(src)
         # i = 1, 2: j skips 3, completes -> 4 hits each; i = 3..5: j = 1, 2
         # hit, 3 cycles, 4 exits -> 2 hits each
         assert run.outputs[0] == [(14, 6, 4)]
 
     def test_while_loop_with_exit(self):
-        src = """
-program t
-  integer :: n, steps
-
-  n = 27
-  steps = 0
-  do while (n /= 1)
-    if (steps > 200) then
-      exit
-    endif
-    if (mod(n, 2) == 0) then
-      n = n / 2
-    else
-      n = 3 * n + 1
-    endif
-    steps = steps + 1
-  enddo
-  print *, n, steps
-end program t
-"""
+        src = WHILE_EXIT_SRC
         run = run_serial(src)
         assert run.outputs[0] == [(1, 111)]  # collatz(27) reaches 1 in 111 steps
 
     def test_recursive_subroutine_through_lazy_compile(self):
-        src = """
-program t
-  integer :: r
-
-  r = 0
-  call fact(5, r)
-  print *, r
-end program t
-
-subroutine fact(n, r)
-  integer :: n, r
-
-  if (n <= 1) then
-    r = 1
-  else
-    call fact(n - 1, r)
-    r = r * n
-  endif
-end subroutine fact
-"""
+        src = RECURSIVE_SRC
         run = run_serial(src)
         assert run.outputs[0] == [(120,)]
 
@@ -214,40 +245,30 @@ end program t
 
 
 class TestTimingParity:
-    SRC = """
-program t
-  integer :: a(1:32)
-  integer :: i, k, s, ierr
-
-  s = 0
-  do k = 1, 4
-    do i = 1, 32
-      a(i) = i * k
-    enddo
-    call mpi_barrier(0, ierr)
-    do i = 1, 32
-      s = s + a(i)
-    enddo
-  enddo
-  print *, s
-end program t
-"""
+    SRC = TIMING_SRC
 
     def test_flush_threshold_does_not_change_totals(self):
         """Compute batching granularity must be timing-invisible: the
         fast path accumulates whole pure regions regardless of the
         threshold, and totals at MPI boundaries are exact."""
-        default = run_cluster(self.SRC, nranks=2)
-        tiny = run_cluster(
-            self.SRC, nranks=2, cost_model=CostModel(flush_threshold=1e-12)
+        session = Session()
+        default = session.run(Job(program=self.SRC, nranks=2, network="ideal"))
+        tiny = session.run(
+            Job(
+                program=self.SRC,
+                nranks=2,
+                network="ideal",
+                cost_model=CostModel(flush_threshold=1e-12),
+            )
         )
         assert default.result.time == tiny.result.time
         assert default.result.rank_times == tiny.result.rank_times
         assert default.outputs == tiny.outputs
 
     def test_determinism_across_runs(self):
-        a = run_cluster(self.SRC, nranks=2)
-        b = run_cluster(self.SRC, nranks=2)
+        session = Session()
+        a = session.run(Job(program=self.SRC, nranks=2, network="ideal"))
+        b = session.run(Job(program=self.SRC, nranks=2, network="ideal"))
         assert a.result.time == b.result.time
         assert a.result.stats == b.result.stats
 

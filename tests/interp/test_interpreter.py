@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import InterpError
-from repro.interp import ExternalProc, ExternalRegistry, run_cluster, run_serial
+from repro import Job, Session
+from repro.interp import ExternalProc, ExternalRegistry, run_serial
 from repro.runtime.costmodel import CostModel
 from repro.runtime.network import IDEAL, MPICH_GM
 
@@ -248,7 +249,7 @@ program t
   print *, mynode(), numnodes()
 end program t
 """
-        run = run_cluster(src, nranks=3)
+        run = Session().run(Job(program=src, nranks=3, network=IDEAL))
         assert [o[0] for o in run.outputs] == [(0, 3), (1, 3), (2, 3)]
 
     def test_alltoall_through_interpreter(self):
@@ -265,7 +266,7 @@ program t
   call mpi_alltoall(as, n / np, 0, ar, n / np, 0, 0, ierr)
 end program t
 """
-        run = run_cluster(src, nranks=4, network=MPICH_GM)
+        run = Session().run(Job(program=src, nranks=4, network=MPICH_GM))
         # rank j's partition r holds rank r's partition j
         for j in range(4):
             ar = run.array(j, "ar")
@@ -295,7 +296,7 @@ program t
   call mpi_waitall(ierr)
 end program t
 """
-        run = run_cluster(src, nranks=2, network=MPICH_GM)
+        run = Session().run(Job(program=src, nranks=2, network=MPICH_GM))
         r = run.array(1, "r")
         # rank 0's a(1:2, 2:3) in column-major order lands in r(3:4, 1:2)
         assert r[2, 0] == 12 and r[3, 0] == 22
@@ -312,7 +313,7 @@ program t
 end program t
 """
         with pytest.raises(InterpError, match="differs from section size"):
-            run_cluster(src, nranks=2)
+            Session().run(Job(program=src, nranks=2, network=IDEAL))
 
     def test_mpi_without_comm_raises(self):
         src = """
@@ -340,7 +341,7 @@ program t
   print *, ierr
 end program t
 """
-        run = run_cluster(src, nranks=2)
+        run = Session().run(Job(program=src, nranks=2, network=IDEAL))
         assert run.outputs[0] == [(0,)]
 
 

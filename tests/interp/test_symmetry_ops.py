@@ -11,7 +11,6 @@ fails on some ranks check the fallback rule instead: ``auto`` raises
 exactly the error full interpretation raises.
 """
 
-import dataclasses
 import functools
 import itertools
 import warnings
@@ -26,7 +25,6 @@ from repro.interp.interpreter import Interpreter
 from repro.interp.runner import ClusterJob, execute_job
 from repro.interp.symmetry import SymmetryRecorder
 from repro.lang import parse
-from repro.lang.ast_nodes import ArrayRef, FuncCall
 
 NRANKS = 4
 
@@ -91,27 +89,10 @@ def small_shadow_budget(monkeypatch):
     )
 
 
-def _with_real_intrinsic(node):
-    """``real`` lexes as a type keyword, so source cannot call the
-    intrinsic: test bodies spell it ``float(...)`` (an array reference
-    to the parser) and this rewrites those nodes into the call."""
-    if isinstance(node, list):
-        return [_with_real_intrinsic(n) for n in node]
-    if isinstance(node, tuple):
-        return tuple(_with_real_intrinsic(n) for n in node)
-    if not dataclasses.is_dataclass(node):
-        return node
-    for f in dataclasses.fields(node):
-        setattr(node, f.name, _with_real_intrinsic(getattr(node, f.name)))
-    if isinstance(node, ArrayRef) and node.name == "float":
-        return FuncCall(name="real", args=node.subs, line=node.line)
-    return node
-
-
 def _run(body, mode):
     return execute_job(
         ClusterJob(
-            program=_with_real_intrinsic(parse(PROGRAM.format(body=body))),
+            program=parse(PROGRAM.format(body=body)),
             nranks=NRANKS,
             network="gmnet",
             engine_mode=mode,
@@ -179,7 +160,7 @@ def _binop_cases():
     for op in ARITH + COMPARE:
         for lk, rk in itertools.product(KINDS, KINDS):
             if lk in SCALAR_KINDS and rk in SCALAR_KINDS:
-                continue  # no vector: the scalar closures, pinned elsewhere
+                continue  # no vector: the scalar domain, pinned elsewhere
             yield op, lk, rk
 
 
@@ -249,8 +230,7 @@ def test_one_argument_intrinsic(name, kind):
     real_result = ONE_ARG[name]
     if real_result is None:
         real_result = is_real
-    call = "float" if name == "real" else name
-    body = _statement(f"{call}({expr})", real_result, observable=not approx)
+    body = _statement(f"{name}({expr})", real_result, observable=not approx)
     assert_replay_parity(body, approx=approx)
 
 
@@ -352,7 +332,7 @@ def test_shadowed_reads_and_stores():
   do k = 1, sh(3)
     ires(2) = ires(2) + sh(k - 1 - (k - 1) / 4 * 4 + 1)
   enddo
-  rres(1) = float(sh(1)) * 0.5
+  rres(1) = real(sh(1)) * 0.5
 """
     # sh(3) collapses to the uniform 5 and may then bound a loop
     assert_replay_parity(body)
@@ -362,7 +342,7 @@ def test_gathers_with_rank_dependent_subscripts():
     body = """
   ires(1) = sh(mynode() + 1)
   ires(2) = m(mynode() + 1, 2) + m(4 - mynode(), 1)
-  rres(1) = float(m(iv - 1, 3))
+  rres(1) = real(m(iv - 1, 3))
   print *, sh(mynode() + 1), m(mynode() + 1, 1), m(2, mynode() / 2 + 1)
   print *, sh(4 - mynode())
 """
@@ -433,14 +413,39 @@ def test_uniform_error_is_the_programs_own():
     assert_fallback_parity("  ires(1) = iv / (ia - 7)")
 
 
+@pytest.mark.parametrize(
+    "decl", ["integer :: a(1:n)", "integer :: a(n:4)", "integer :: k = n + 1"]
+)
+def test_declaration_reading_a_later_declared_scalar(decl):
+    # ``n`` is still unbound while ``decl`` elaborates: the recorder
+    # raises full interpretation's own error, not a lookup failure
+    source = f"""
+program later
+  {decl}
+  integer :: n, ierr
+  n = 3
+  call mpi_barrier(0, ierr)
+end program later
+"""
+    errors = []
+    for mode in ("full", "auto", "replay"):
+        job = ClusterJob(
+            program=source, nranks=NRANKS, network="gmnet", engine_mode=mode
+        )
+        with pytest.raises(InterpError) as err:
+            execute_job(job)
+        errors.append(str(err.value))
+    assert errors == ["undefined variable 'n' (line 3)"] * 3
+
+
 # -------------------------------------------------------------- guard
 
 
 def test_recording_nodeloop_never_walks_the_tree(monkeypatch):
-    """Every expression the recorder evaluates runs as a compiled
-    closure: the tree-walking evaluator is never entered, and the
-    recorder's own ``_eval`` (the communication skeleton's entry into
-    the closures) runs a fixed number of times, not once per element."""
+    """Every expression the recorder evaluates runs as generated code:
+    the tree-walking evaluator is never entered, and the recorder's own
+    ``_eval`` (the communication skeleton's entry into the generated
+    code) runs a fixed number of times, not once per element."""
     calls = {"tree": 0, "skeleton": 0}
     tree_eval = Interpreter._eval
     skeleton_eval = SymmetryRecorder._eval

@@ -249,6 +249,44 @@ class TestDeclarations:
         assert isinstance(dims[1].hi, BinOp)
 
 
+class TestRealIntrinsic:
+    """``real`` lexes as a type keyword; in an expression, ``real(`` is
+    the intrinsic call."""
+
+    def test_real_call_in_an_expression(self):
+        e = parse_expr("real(i) * 0.5")
+        assert isinstance(e.left, FuncCall)
+        assert e.left.name == "real"
+        assert isinstance(e.left.args[0], VarRef)
+
+    def test_nested_real_calls_in_an_assignment(self):
+        t = parse(
+            "program p\nreal :: x\ninteger :: i\n"
+            "x = real(i + 1) + real(mod(i, 2))\nend"
+        )
+        rhs = t.main.body[0].rhs
+        assert isinstance(rhs.left, FuncCall) and rhs.left.name == "real"
+        assert isinstance(rhs.left.args[0], BinOp)
+        assert isinstance(rhs.right.args[0], FuncCall)
+
+    def test_declarations_still_parse(self):
+        t = parse(
+            "program p\nreal :: x, y(4)\nreal, parameter :: c = 2.0\n"
+            "x = real(2)\nend"
+        )
+        assert [d.base_type for d in t.main.decls] == ["real", "real"]
+        assert t.main.decls[1].is_parameter
+        assert isinstance(t.main.body[0].rhs, FuncCall)
+
+    def test_bare_real_is_not_an_expression(self):
+        with pytest.raises(ParseError, match="got keyword 'real'"):
+            parse("program p\nreal :: x\nx = real\nend")
+
+    def test_real_slice_argument_is_rejected(self):
+        with pytest.raises(ParseError, match="slice argument"):
+            parse_expr("real(1:2)")
+
+
 class TestErrors:
     def test_missing_enddo(self):
         with pytest.raises(ParseError):
