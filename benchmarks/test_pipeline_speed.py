@@ -1,16 +1,15 @@
-"""Compiler-side benchmark: pipeline compile time per app.
+"""Compiler-side benchmark: how fast is the transformation itself?
 
-The pass pipeline replaced the monolithic Compuniformer as the
-production transformation path (every PreparedApp/sweep transform runs
-through it), so its compile time — parse → interchange → plan →
-commgen/indirect-elim → unparse, including the per-pass snapshots — is
-a build-cost trajectory worth tracking.  Each workload's wall time goes
-into ``extra_info`` so CI's ``BENCH_pipeline.json`` artifact records
-the per-app numbers, and every run re-asserts the non-negotiable
-invariant: the pipeline's output is bit-identical to the legacy
-monolith's.
+The paper's tool is a source-to-source compiler pass; its cost matters
+for build-time integration, and the ``prepush`` pass pipeline runs on
+every PreparedApp/sweep transform.  These benchmarks time it — parse →
+interchange → plan → commgen/indirect-elim → unparse — plus the
+opportunity detection it starts from.  Each workload's compile time
+goes into ``extra_info`` so CI's ``BENCH_pipeline.json`` artifact
+records the per-app numbers.  (The pipeline's output is pinned by the
+golden parity suite, ``tests/transform/test_pipeline.py``.)
 
-A ``smoke`` benchmark: it finishes in seconds and runs in CI's
+``smoke`` benchmarks: they finish in seconds and run in CI's
 ``--benchmark-smoke`` job.
 """
 
@@ -21,7 +20,7 @@ from time import perf_counter
 import pytest
 
 from repro.apps import build_app
-from repro.transform import Compuniformer
+from repro.transform import TransformOptions
 from repro.transform.pipeline import get_variant
 
 pytestmark = pytest.mark.smoke
@@ -45,12 +44,7 @@ def test_pipeline_compile_speed(benchmark):
         ]
 
     reports = benchmark(compile_all)
-
-    # parity is re-proven on every benchmark run: same text as the
-    # legacy monolithic driver, app by app
-    for app, report in zip(apps, reports):
-        legacy = Compuniformer(oracle=app.oracle).transform(app.source)
-        assert report.unparse() == legacy.unparse()
+    assert all(report.transformed for report in reports)
 
     # per-app compile time for the BENCH_pipeline.json trajectory
     for app in apps:
@@ -62,30 +56,26 @@ def test_pipeline_compile_speed(benchmark):
     benchmark.extra_info["apps"] = len(apps)
 
 
-def test_pipeline_overhead_vs_monolith(benchmark):
-    """The pass decomposition (snapshots included) must stay within a
-    small constant factor of the monolith — the pipeline runs on every
-    sweep expansion, so a regression here multiplies across figures."""
+def test_transform_pipeline_speed(benchmark):
+    """Text in, text out on the FFT workload, without the per-pass
+    snapshots (what the CLI ``transform`` verb runs)."""
     app = build_app("fft", n=128, nranks=8, steps=1, stages=6)
     pipeline = get_variant("prepush")
+    options = TransformOptions(tile_size=16)
 
-    def one():
-        return pipeline.run(app.source).unparse()
+    def transform():
+        return pipeline.run(app.source, options, snapshots=False).unparse()
 
-    out = benchmark(one)
+    out = benchmark(transform)
     assert "mpi_isend" in out
 
-    reps = 5
-    t0 = perf_counter()
-    for _ in range(reps):
-        Compuniformer().transform(app.source).unparse()
-    mono_s = (perf_counter() - t0) / reps
-    t0 = perf_counter()
-    for _ in range(reps):
-        one()
-    piped_s = (perf_counter() - t0) / reps
-    benchmark.extra_info["monolith_s"] = round(mono_s, 5)
-    benchmark.extra_info["pipeline_s"] = round(piped_s, 5)
-    # generous bound: snapshots cost a few unparses, not an order of
-    # magnitude (guards against accidentally quadratic planning)
-    assert piped_s < mono_s * 10
+
+def test_detection_speed(benchmark):
+    from repro.analysis.patterns import find_opportunities
+    from repro.lang import parse
+
+    app = build_app("indirect", n=32, nranks=8, stages=6)
+    ast = parse(app.source)
+
+    result = benchmark(find_opportunities, ast)
+    assert len(result.opportunities) == 1

@@ -10,7 +10,7 @@ the sweet spot — exactly the tuning loop a user of the tool would run.
 Run:  python examples/fft_transpose.py
 """
 
-from repro import CompareRequest, Session
+from repro import CompareRequest, Session, TransformOptions
 from repro.apps import fft_transpose
 from repro.harness import Table, format_seconds
 
@@ -21,7 +21,9 @@ def main() -> None:
     print(f"workload: {app.description}\n")
 
     # show what the tool does to it
-    prepared = session.prepare(CompareRequest(app=app, tile_size=8))
+    prepared = session.prepare(
+        CompareRequest(app=app, options=TransformOptions(tile_size=8))
+    )
     site = prepared.transform.sites[0]
     print(
         f"transformed: {site.kind.value} pattern, scheme {site.scheme}, "
@@ -48,7 +50,9 @@ def main() -> None:
     base = None
     for k in (1, 2, 4, 8, 16, 32, 64):
         pair = session.compare(
-            CompareRequest(app=app, tile_size=k, verify=False)
+            CompareRequest(
+                app=app, options=TransformOptions(tile_size=k), verify=False
+            )
         )
         if base is None:
             base = pair.original.time

@@ -11,7 +11,7 @@ own) appears as the offload column beating the host-driven column.
 Run:  python examples/network_study.py
 """
 
-from repro import CompareRequest, Session
+from repro import CompareRequest, Session, TransformOptions
 from repro.apps import adi_sweep
 from repro.harness import Table
 from repro.runtime.costmodel import DEFAULT_COST_MODEL
@@ -22,7 +22,9 @@ def main() -> None:
     # kernels doing realistic work per element: a session-wide cost model
     session = Session(cost_model=DEFAULT_COST_MODEL.scaled(4.0))
     app = adi_sweep(n=64, nranks=8, steps=2)
-    prepared = session.prepare(CompareRequest(app=app, tile_size=8))
+    prepared = session.prepare(
+        CompareRequest(app=app, options=TransformOptions(tile_size=8))
+    )
 
     table = Table(
         title="prepush speedup vs wire speed and offload (adi stencil)",

@@ -16,7 +16,7 @@ driven entirely through the typed :class:`repro.Session` façade:
 Run:  python examples/quickstart.py
 """
 
-from repro import Job, Session, VerifyRequest
+from repro import Job, Session, TransformOptions, VerifyRequest
 from repro.harness import format_seconds
 
 SOURCE = """
@@ -47,7 +47,9 @@ def main() -> None:
 
     # --- 3: transform + §4 correctness criterion in one call -------------
     result = session.verify(
-        VerifyRequest(program=SOURCE, nranks=8, tile_size=16)
+        VerifyRequest(
+            program=SOURCE, nranks=8, options=TransformOptions(tile_size=16)
+        )
     )
     print("== transformation report ==")
     print(result.transform.describe())

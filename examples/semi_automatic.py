@@ -19,7 +19,7 @@ from repro import Session, VerifyRequest
 from repro.analysis.callinfo import DictOracle, RecordingOracle
 from repro.apps import indirect_external_kernel
 from repro.runtime.costmodel import DEFAULT_COST_MODEL
-from repro.transform import Compuniformer
+from repro.transform import TransformOptions
 
 #: the figure-1 regime: producer work comparable to 2005-era kernels
 COST = DEFAULT_COST_MODEL.scaled(8.0)
@@ -41,7 +41,7 @@ def main() -> None:
         VerifyRequest(
             program=app.source,
             nranks=app.nranks,
-            tile_size=4,
+            options=TransformOptions(tile_size=4),
             oracle=oracle,
             externals=app.externals,
         )
@@ -68,11 +68,11 @@ def main() -> None:
     print()
 
     # --- the user answers "no" -------------------------------------------
-    denying = Compuniformer(
-        tile_size=4,
+    denied = session.transform(
+        app.source,
+        options=TransformOptions(tile_size=4),
         oracle=DictOracle({"producer": set()}, default=False),
     )
-    denied = denying.transform(app.source)
     print("== with the user answering 'no' ==")
     print(denied.describe())
     assert not denied.transformed

@@ -43,7 +43,6 @@ from .api import (  # noqa: F401
     Session,
     VerifyRequest,
     VerifyResult,
-    default_session,
 )
 from .errors import (  # noqa: F401
     AnalysisError,
@@ -74,15 +73,10 @@ from .transform.options import TransformOptions  # noqa: F401
 from .transform.pipeline import (  # noqa: F401
     Pipeline,
     PipelineReport,
+    SiteReport,
     get_variant,
     list_variants,
     register_variant,
-)
-from .transform.prepush import (  # noqa: F401
-    Compuniformer,
-    SiteReport,
-    TransformReport,
-    prepush,
 )
 from .serve import (  # noqa: F401
     AsyncServeClient,
@@ -117,12 +111,8 @@ __all__ = [
     "VerifyRequest",
     "VerifyResult",
     "UNSET",
-    "default_session",
     # transformation
-    "Compuniformer",
-    "TransformReport",
     "SiteReport",
-    "prepush",
     "TransformOptions",
     "Pipeline",
     "PipelineReport",

@@ -23,7 +23,7 @@ from .context import (  # noqa: F401
     Job,
     VerifyRequest,
 )
-from .session import Session, VerifyResult, default_session  # noqa: F401
+from .session import Session, VerifyResult  # noqa: F401
 
 __all__ = [
     "Session",
@@ -33,5 +33,4 @@ __all__ = [
     "VerifyRequest",
     "VerifyResult",
     "UNSET",
-    "default_session",
 ]

@@ -146,16 +146,11 @@ class CompareRequest:
     ``verify=None`` inherits the context's ``verify`` flag (§4
     equivalence check of the pair before measuring); ``variant=None``
     inherits the context's default transformation variant.  The knobs
-    may be given either as one frozen
-    :class:`~repro.transform.options.TransformOptions` (``options=``)
-    or through the legacy ``tile_size``/``interchange`` fields — the
-    Session folds the legacy pair into an options object; setting
-    ``options`` *and* a non-default legacy field raises.
+    are one frozen :class:`~repro.transform.options.TransformOptions`
+    (``options=None`` = the defaults).
     """
 
     app: Any  # an AppSpec from repro.apps
-    tile_size: Union[int, str] = "auto"
-    interchange: str = "auto"
     verify: Optional[bool] = None
     network: Optional[NetworkLike] = None
     collective: Union[_Unset, CollectiveSpec] = UNSET
@@ -177,8 +172,6 @@ class VerifyRequest:
 
     program: Union[str, SourceFile]
     nranks: int = 8
-    tile_size: Union[int, str] = "auto"
-    interchange: str = "auto"
     oracle: Any = None
     network: Optional[NetworkLike] = None
     collective: Union[_Unset, CollectiveSpec] = UNSET

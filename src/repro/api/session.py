@@ -19,10 +19,6 @@ by every :meth:`run_many` / :meth:`sweep` call.  That amortization is
 what makes the library embeddable in a long-lived server: per-request
 cost is the simulation itself, not registry lookups, re-transforming
 or pool startup.
-
-The legacy kwargs entry points (``run_cluster``, ``measure``,
-``run_pair``) survive as deprecation shims delegating to
-:func:`default_session`.
 """
 
 from __future__ import annotations
@@ -57,7 +53,7 @@ from ..lang.ast_nodes import SourceFile
 from ..runtime.collectives import CollectiveSpec, resolve_suite
 from ..runtime.costmodel import CostModel
 from ..runtime.network import NetworkModel, resolve_model
-from ..transform.options import TransformOptions, fold_legacy_options
+from ..transform.options import TransformOptions
 from ..transform.pipeline import (
     Pipeline,
     PipelineReport,
@@ -65,7 +61,6 @@ from ..transform.pipeline import (
     variant_identity,
     variant_label,
 )
-from ..transform.prepush import TransformReport
 from ..verify import EquivalenceReport, verify_transform
 from .context import (
     UNSET,
@@ -76,7 +71,7 @@ from .context import (
     VerifyRequest,
 )
 
-__all__ = ["Session", "VerifyResult", "default_session"]
+__all__ = ["Session", "VerifyResult"]
 
 #: legal values of ``ExecutionContext.engine_mode`` / ``Job.engine_mode``
 ENGINE_MODES = ("auto", "replay", "full")
@@ -88,7 +83,7 @@ class VerifyResult:
     transformation that produced the checked program."""
 
     equivalence: EquivalenceReport
-    transform: TransformReport
+    transform: PipelineReport
 
     @property
     def equivalent(self) -> bool:
@@ -249,19 +244,6 @@ class Session:
             self.engine_mode if value is None else self._check_engine_mode(value)
         )
 
-    @staticmethod
-    def _resolve_options(request: Any) -> TransformOptions:
-        """One :class:`TransformOptions` from a request's ``options``
-        field or its legacy ``tile_size``/``interchange`` pair (the
-        shared :func:`~repro.transform.options.fold_legacy_options`
-        rule: both at once raises)."""
-        return fold_legacy_options(
-            request.options,
-            request.tile_size,
-            request.interchange,
-            exc=ReproError,
-        )
-
     def cluster_job(self, job: Job) -> ClusterJob:
         """Resolve one :class:`~repro.api.Job` against this session into
         the engine's :class:`~repro.interp.runner.ClusterJob`.
@@ -388,7 +370,7 @@ class Session:
         pipeline = self._resolve_variant(request.variant)
         return PreparedApp(
             request.app,
-            options=self._resolve_options(request),
+            options=request.options,
             variant=pipeline,
             verify=(
                 self.context.verify
@@ -424,7 +406,7 @@ class Session:
         equivalence, report = verify_transform(
             request.program,
             request.nranks,
-            options=self._resolve_options(request),
+            options=request.options,
             variant=self._resolve_variant(request.variant),
             oracle=request.oracle,
             network=self._resolve_network(request.network),
@@ -525,15 +507,3 @@ class Session:
             f"cache={'on' if self.cache else 'off'}, "
             f"jobs={self.jobs}, pool={pool})"
         )
-
-
-_default: Optional[Session] = None
-
-
-def default_session() -> Session:
-    """The lazily-created shared Session the deprecation shims delegate
-    to: default context, no cache, no pool."""
-    global _default
-    if _default is None:
-        _default = Session()
-    return _default

@@ -140,7 +140,6 @@ from .runtime.collectives import (
 from .runtime.network import get_model, list_models
 from .transform.options import TransformOptions
 from .transform.pipeline import get_variant, list_variants
-from .transform.prepush import Compuniformer
 
 _BENCHES = {
     "tile_size": ablation_tile_size,
@@ -717,11 +716,13 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "transform":
-        tool = Compuniformer(
+        options = TransformOptions(
             tile_size=args.tile_size,
             interchange="never" if args.no_interchange else "auto",
         )
-        report = tool.transform(_read_source(args.file))
+        report = get_variant("prepush").run(
+            _read_source(args.file), options, snapshots=False
+        )
         if not args.quiet:
             print(report.describe(), file=sys.stderr)
         text = report.unparse()
@@ -803,7 +804,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             VerifyRequest(
                 program=_read_source(args.file),
                 nranks=args.nranks,
-                tile_size=args.tile_size,
+                options=TransformOptions(tile_size=args.tile_size),
             )
         )
         equivalence, report = result.equivalence, result.transform

@@ -18,9 +18,7 @@ from .runner import (  # noqa: F401
     Measurement,
     PairResult,
     PreparedApp,
-    measure,
     measurement_from_run,
-    run_pair,
 )
 from .sweep import (  # noqa: F401
     CacheStats,
@@ -47,9 +45,7 @@ __all__ = [
     "Measurement",
     "PairResult",
     "PreparedApp",
-    "measure",
     "measurement_from_run",
-    "run_pair",
     "CacheStats",
     "SweepCache",
     "SweepResult",

@@ -4,15 +4,13 @@
 :class:`PreparedApp` transforms a workload once, checks equivalence
 (an experiment on wrong data is worthless), and measures both variants
 on one network.  These are the building blocks every figure/ablation
-uses.  The kwargs-style :func:`measure` / :func:`run_pair` entry points
-are deprecation shims over the :class:`repro.api.Session` façade
+uses; callers reach them through the :class:`repro.api.Session` façade
 (:meth:`~repro.api.Session.measure` / :meth:`~repro.api.Session.compare`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
@@ -23,14 +21,13 @@ from ..lang.ast_nodes import SourceFile
 from ..runtime.collectives import CollectiveSpec, describe_suite, resolve_suite
 from ..runtime.costmodel import DEFAULT_COST_MODEL, CostModel
 from ..runtime.network import NetworkModel, resolve_model
-from ..transform.options import TransformOptions, fold_legacy_options
+from ..transform.options import DEFAULT_TRANSFORM_OPTIONS, TransformOptions
 from ..transform.pipeline import (
     Pipeline,
     PipelineReport,
     resolve_variant,
     variant_label,
 )
-from ..transform.prepush import TransformReport
 from ..verify import compare_runs
 
 
@@ -93,8 +90,9 @@ def measurement_from_run(
     collective: CollectiveSpec = None,
 ) -> Measurement:
     """Fold one completed :class:`~repro.interp.runner.ClusterRun` into a
-    :class:`Measurement` (shared by :func:`measure` and the sweep engine,
-    which simulates through :func:`~repro.interp.runner.run_many`)."""
+    :class:`Measurement` (shared by :meth:`repro.api.Session.measure`,
+    :meth:`PreparedApp.run_on` and the sweep engine, which simulates
+    through :func:`~repro.interp.runner.run_many`)."""
     stats = run.result.stats
     # the worst-rank communication figure must come from ONE rank: taking
     # independent maxima of wait and overhead would overstate comm_cost
@@ -130,8 +128,7 @@ def _measure_impl(
     collective: CollectiveSpec = None,
 ) -> Measurement:
     """Simulate once and fold the per-rank stats into a measurement
-    (the shared core of :meth:`repro.api.Session.measure` and the
-    deprecated :func:`measure` shim)."""
+    (the core of :meth:`PreparedApp.run_on`)."""
     network = resolve_model(network)
     run = execute_job(
         ClusterJob(
@@ -148,40 +145,6 @@ def _measure_impl(
     )
 
 
-def measure(
-    program: Union[str, SourceFile],
-    nranks: int,
-    network: Union[str, NetworkModel],
-    *,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-    externals=None,
-    label: str = "",
-    collective: CollectiveSpec = None,
-) -> Measurement:
-    """Deprecated kwargs-style entry; use
-    :meth:`repro.api.Session.measure` with a :class:`repro.api.Job`."""
-    warnings.warn(
-        "measure(...) is deprecated; use "
-        "repro.Session().measure(repro.Job(program=..., nranks=..., ...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..api import Job
-    from ..api.session import default_session
-
-    return default_session().measure(
-        Job(
-            program=program,
-            nranks=nranks,
-            network=network,
-            cost_model=cost_model,
-            externals=externals,
-            label=label,
-            collective=collective,
-        )
-    )
-
-
 @dataclass
 class PairResult:
     """Original vs. pre-pushed measurements of one workload on one network."""
@@ -190,7 +153,7 @@ class PairResult:
     network: str
     original: Measurement
     prepush: Measurement
-    transform: TransformReport
+    transform: PipelineReport
     equivalent: bool
 
     @property
@@ -219,11 +182,9 @@ class PreparedApp:
 
     The transformation runs through the variant registry
     (:mod:`repro.transform.pipeline`): ``variant`` names a registered
-    pipeline (default ``"prepush"``, bit-identical to the legacy
-    monolithic path) and ``options`` carries the knobs as one frozen
-    :class:`~repro.transform.options.TransformOptions`.  The legacy
-    ``tile_size=``/``interchange=`` keywords still work and are folded
-    into an options object; passing both forms raises.  ``.transform``
+    pipeline (default ``"prepush"``) and ``options`` carries the knobs
+    as one frozen :class:`~repro.transform.options.TransformOptions`
+    (``None`` = the defaults).  ``.transform``
     is a :class:`~repro.transform.pipeline.PipelineReport`, so the
     per-pass chain and intermediate snapshots are inspectable on every
     prepared workload (``snapshots=False`` skips capturing the
@@ -240,15 +201,13 @@ class PreparedApp:
     follow ``pipeline.partial``).  A program left *entirely* unchanged
     because sites were rejected raises regardless; rejections alongside
     at least one successful rewrite are reported, not raised — the
-    paper's semi-automatic convention, matching the legacy monolith.
+    paper's semi-automatic convention.
     """
 
     def __init__(
         self,
         app: AppSpec,
         *,
-        tile_size: Union[None, int, str] = None,
-        interchange: Optional[str] = None,
         verify: bool = True,
         cost_model: CostModel = DEFAULT_COST_MODEL,
         options: Optional[TransformOptions] = None,
@@ -257,9 +216,8 @@ class PreparedApp:
         snapshots: bool = True,
         report: Optional[PipelineReport] = None,
     ) -> None:
-        options = fold_legacy_options(
-            options, tile_size, interchange, exc=ReproError
-        )
+        if options is None:
+            options = DEFAULT_TRANSFORM_OPTIONS
         self.app = app
         self.cost_model = cost_model
         self.options = options
@@ -370,38 +328,3 @@ class PreparedApp:
             transform=self.transform,
             equivalent=self.equivalent,
         )
-
-
-def run_pair(
-    app: AppSpec,
-    network: Union[str, NetworkModel],
-    *,
-    tile_size: Union[int, str] = "auto",
-    interchange: str = "auto",
-    verify: bool = True,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-    collective: CollectiveSpec = None,
-) -> PairResult:
-    """Deprecated kwargs-style entry; use
-    :meth:`repro.api.Session.compare` with a
-    :class:`repro.api.CompareRequest`."""
-    warnings.warn(
-        "run_pair(...) is deprecated; use "
-        "repro.Session().compare(repro.CompareRequest(app=..., ...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..api import CompareRequest
-    from ..api.session import default_session
-
-    return default_session().compare(
-        CompareRequest(
-            app=app,
-            tile_size=tile_size,
-            interchange=interchange,
-            verify=verify,
-            network=network,
-            collective=collective,
-            cost_model=cost_model,
-        )
-    )

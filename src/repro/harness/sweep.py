@@ -86,7 +86,6 @@ from ..transform.pipeline import (
     variant_identity,
     variant_label,
 )
-from ..transform.prepush import TransformReport
 from .runner import Measurement, PreparedApp, measurement_from_run
 
 __all__ = [
@@ -326,7 +325,7 @@ class SweepPoint:
     detect_races: bool
     label: str
     externals: Any = None
-    transform: Optional[TransformReport] = None
+    transform: Optional[PipelineReport] = None
     fingerprint: Optional[str] = None  # None = uncacheable (externals)
     #: ``program`` as source text when it is an AST whose text is
     #: already known, so fingerprinting skips one unparse per point
@@ -853,7 +852,7 @@ def expand_spec(
                 prepared: Dict[
                     str, Tuple[Optional[PreparedApp], Optional[str]]
                 ] = {}
-                fallback: Optional[TransformReport] = None
+                fallback: Optional[PipelineReport] = None
                 for label, pipeline in resolved_variants:
                     if pipeline.empty:
                         prepared[label] = (None, None)
@@ -957,7 +956,7 @@ class SweepRun:
     measurement: Measurement
     cached: bool
     fingerprint: Optional[str]
-    transform: Optional[TransformReport] = None
+    transform: Optional[PipelineReport] = None
 
 
 @dataclass

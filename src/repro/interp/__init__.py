@@ -11,7 +11,6 @@ from .runner import (  # noqa: F401
     ClusterJob,
     ClusterRun,
     execute_job,
-    run_cluster,
     run_serial,
 )
 from .values import FArray  # noqa: F401
@@ -25,7 +24,6 @@ __all__ = [
     "ExternalCall",
     "make_producer",
     "execute_job",
-    "run_cluster",
     "run_serial",
     "ClusterJob",
     "ClusterRun",

@@ -7,8 +7,8 @@ through the :class:`~repro.runtime.simulator.Engine`, and returns timing
 plus each rank's printed output and final array contents — everything
 the correctness checker and the benchmark harness need.  Network models
 may be passed as instances or as registered scenario names
-(:mod:`repro.runtime.network`).  The kwargs-style :func:`run_cluster` is
-a deprecation shim over the :class:`repro.api.Session` façade.
+(:mod:`repro.runtime.network`).  Library callers reach it through the
+:class:`repro.api.Session` façade (:meth:`~repro.api.Session.run`).
 
 :func:`run_many` executes a batch of independent simulations, optionally
 across a process pool — figure sweeps rerun the same programs over many
@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -130,40 +129,6 @@ def _simulate(
         for it in interps
     ]
     return ClusterRun(result=result, outputs=outputs, arrays=arrays)
-
-
-def run_cluster(
-    program: Union[str, SourceFile],
-    nranks: int,
-    network: Union[str, NetworkModel] = IDEAL,
-    *,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-    externals: Optional[ExternalRegistry] = None,
-    detect_races: bool = True,
-    collective: CollectiveSpec = None,
-) -> ClusterRun:
-    """Deprecated kwargs-style entry; use
-    :meth:`repro.api.Session.run` with a :class:`repro.api.Job`."""
-    warnings.warn(
-        "run_cluster(...) is deprecated; use "
-        "repro.Session().run(repro.Job(program=..., nranks=..., ...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..api import Job
-    from ..api.session import default_session
-
-    return default_session().run(
-        Job(
-            program=program,
-            nranks=nranks,
-            network=network,
-            cost_model=cost_model,
-            externals=externals,
-            detect_races=detect_races,
-            collective=collective,
-        )
-    )
 
 
 def run_serial(

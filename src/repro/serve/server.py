@@ -68,6 +68,7 @@ from ..harness.sweep import (
 )
 from ..interp.runner import ClusterJob, execute_job
 from ..runtime.simulator import ENGINE_VERSION
+from ..transform.options import TransformOptions
 from .protocol import (
     PROTOCOL_VERSION,
     MAX_MESSAGE_BYTES,
@@ -80,6 +81,17 @@ from .protocol import (
 )
 
 __all__ = ["ServeStats", "SweepServer", "ThreadedServer"]
+
+
+def _wire_options(body: Mapping[str, Any]) -> TransformOptions:
+    """The ``tile_size``/``interchange`` keys of a compare or verify
+    request as one :class:`TransformOptions`.  Call it inside the
+    request's worker: a bad value raises a ``ReproError`` there, which
+    the handler turns into an error event."""
+    return TransformOptions(
+        tile_size=body.get("tile_size", "auto"),
+        interchange=body.get("interchange", "auto"),
+    )
 
 
 @dataclasses.dataclass
@@ -658,8 +670,7 @@ class SweepServer:
                         body["collective"] if "collective" in body else UNSET
                     ),
                     variant=body.get("variant"),
-                    tile_size=body.get("tile_size", "auto"),
-                    interchange=body.get("interchange", "auto"),
+                    options=_wire_options(body),
                 )
             )
 
@@ -706,8 +717,7 @@ class SweepServer:
                 VerifyRequest(
                     program=program,
                     nranks=body.get("nranks", 8),
-                    tile_size=body.get("tile_size", "auto"),
-                    interchange=body.get("interchange", "auto"),
+                    options=_wire_options(body),
                     variant=body.get("variant"),
                     network=body.get("network"),
                     collective=(

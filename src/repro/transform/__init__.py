@@ -1,17 +1,19 @@
 """Source-to-source pre-push transformation (the paper's Compuniformer).
 
+The §3.6 whole-program rewrite is the registered ``"prepush"``
+pipeline: ``get_variant("prepush").run(source, TransformOptions(...))``.
+
 Submodules
 ----------
-``tiling``       tile geometry and the K heuristic
+``tiling``       tile geometry, the K heuristic and per-site K validation
 ``layout``       static geometry of one alltoall site
-``names``        fresh generated-variable names per site
+``names``        the fresh-name pool, per-site generated names, the prolog
 ``commgen``      the Figure 4 pairwise communication generator
-``direct``       §3.3 direct-pattern analysis + code generation
+``direct``       §3.3 direct-pattern analysis, code generation and rewrite
 ``indirect``     §3.4 copy-loop elimination
 ``interchange``  §3.5 node-loop interchange
-``prepush``      §3.6 whole-program rewrite (:class:`Compuniformer`)
 ``options``      the frozen :class:`TransformOptions` knob object
-``pipeline``     composable pass pipeline + the variant registry
+``pipeline``     composable pass pipeline, its reports, the variant registry
 """
 
 from .commgen import figure4_loop, peer_from_expr, peer_to_expr  # noqa: F401
@@ -23,9 +25,9 @@ from .interchange import (  # noqa: F401
     scalars_privatizable,
 )
 from .layout import SiteLayout, resolve_layout  # noqa: F401
-from .names import SiteNames  # noqa: F401
-from .naming import NamePool  # noqa: F401
+from .names import NamePool, SiteNames  # noqa: F401
 from .options import (  # noqa: F401
+    AUTO,
     DEFAULT_TRANSFORM_OPTIONS,
     TransformOptions,
 )
@@ -38,6 +40,7 @@ from .pipeline import (  # noqa: F401
     PassResult,
     Pipeline,
     PipelineReport,
+    SiteReport,
     TilePass,
     get_variant,
     list_variants,
@@ -45,21 +48,11 @@ from .pipeline import (  # noqa: F401
     resolve_variant,
     variant_label,
 )
-from .prepush import (  # noqa: F401
-    AUTO,
-    Compuniformer,
-    SiteReport,
-    TransformReport,
-    prepush,
-)
 from .tiling import Tiling, choose_tile_size, divisors, overlap_headroom  # noqa: F401
 
 __all__ = [
     "AUTO",
-    "Compuniformer",
-    "TransformReport",
     "SiteReport",
-    "prepush",
     "TransformOptions",
     "DEFAULT_TRANSFORM_OPTIONS",
     "Pass",

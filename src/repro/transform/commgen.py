@@ -25,8 +25,11 @@ from __future__ import annotations
 
 from typing import Callable, List
 
+from ..analysis.patterns import Opportunity
+from ..errors import TransformError
 from ..lang import builder as b
 from ..lang.ast_nodes import DoLoop, Expr, Stmt
+from ..lang.visitor import index_of
 from .names import SiteNames
 
 #: Builds the send (or receive) buffer argument for the peer whose rank is
@@ -102,3 +105,21 @@ def final_wait(names: SiteNames) -> List[Stmt]:
         b.comment(" wait for the last blocks of data"),
         b.call("mpi_waitall", b.var(names.ierr)),
     ]
+
+
+def _ordinal_expr(var: str, lo: int) -> Expr:
+    """1-based iteration ordinal ``var - lo + 1`` (folds to ``var`` at lo=1)."""
+    if lo == 1:
+        return b.var(var)
+    return b.add(b.sub(b.var(var), lo), 1)
+
+
+def _replace_call(opp: Opportunity, replacement: List[Stmt]) -> None:
+    """§3.6 step 5: splice ``replacement`` where the original C stood."""
+    body = opp.body
+    ci = index_of(body, opp.call)
+    if ci < 0:
+        raise TransformError(
+            "the original communication call vanished before transformation"
+        )
+    body[ci : ci + 1] = replacement

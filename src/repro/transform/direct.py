@@ -28,8 +28,16 @@ from ..analysis.deps import collect_write_refs
 from ..analysis.patterns import Opportunity
 from ..lang import builder as b
 from ..lang.ast_nodes import ArrayRef, DoLoop, Expr, IntLit, Slice, Stmt
+from .commgen import (
+    _ordinal_expr,
+    _replace_call,
+    figure4_loop,
+    final_wait,
+    wait_previous_tile,
+)
 from .layout import SiteLayout
 from .names import SiteNames
+from .tiling import Tiling
 
 
 @dataclass(frozen=True)
@@ -298,8 +306,6 @@ def gen_comm_block_a(
                 )
         return ArrayRef(name=array, subs=subs)
 
-    from .commgen import figure4_loop, wait_previous_tile
-
     body: List[Stmt] = []
     if wait_first:
         body.extend(wait_previous_tile(names))
@@ -477,3 +483,53 @@ def _self_copy_block_b(
             start, end = IntLit(value=dlo), IntLit(value=dhi)
         body = [b.do(var, start, end, body)]
     return body
+
+
+def direct_rewrite(
+    opp: Opportunity,
+    layout: SiteLayout,
+    names: SiteNames,
+    plan: DirectPlan,
+    k: int,
+    tiling: Tiling,
+) -> None:
+    """§3.6 steps 1–5 for one direct site (the AST mutation itself)."""
+    tiled_loop = opp.nest.loops[0]
+    tv = plan.tile_var
+    ordinal = _ordinal_expr(tv, plan.tile_lo)  # 1-based iteration count
+    gen = gen_comm_block_a if plan.scheme == "A" else gen_comm_block_b
+
+    # §3.6 steps 1+2: guarded per-tile communication at the end of ℓ's
+    # tiled-loop body, preceded by the previous-tile wait
+    comm = gen(
+        plan,
+        layout,
+        names,
+        tile_end_expr=b.var(tv),
+        k=k,
+        tag_expr=b.div(_ordinal_expr(tv, plan.tile_lo), k),
+        wait_first=True,
+    )
+    guard = b.if_(b.eq(b.mod(ordinal, k), 0), comm)
+    tiled_loop.body.append(guard)
+
+    # §3.6 steps 3+4+5 at the site of C
+    post: List[Stmt] = []
+    if tiling.leftover:
+        lo, hi = tiling.leftover_range()
+        post.append(
+            b.comment(" exchange leftover elements (l mod K)")
+        )
+        post.extend(
+            gen(
+                plan,
+                layout,
+                names,
+                tile_end_expr=IntLit(value=hi),
+                k=tiling.leftover,
+                tag_expr=IntLit(value=tiling.ntiles + 1),
+                wait_first=True,
+            )
+        )
+    post.extend(final_wait(names))
+    _replace_call(opp, post)

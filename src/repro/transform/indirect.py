@@ -47,6 +47,8 @@ from ..lang.ast_nodes import (
     TypeDecl,
     VarRef,
 )
+from ..lang.visitor import index_of
+from .commgen import _ordinal_expr, _replace_call, final_wait
 from .layout import SiteLayout
 from .names import SiteNames
 
@@ -337,3 +339,74 @@ def _gen_self_copy(
             start, end = IntLit(value=dlo), IntLit(value=dhi)
         body = [b.do(var, start, end, body)]
     return [b.assign(b.var(q_var), 0)] + body
+
+
+def indirect_rewrite(
+    opp: Opportunity,
+    layout: SiteLayout,
+    names: SiteNames,
+    plan: IndirectPlan,
+    k: int,
+) -> None:
+    """§3.4 copy-loop elimination for one indirect site (the mutation)."""
+    outer = opp.nest.root
+
+    # remove the copy loop ℓcp (§3.4: the aggregation is unnecessary)
+    cp_index = index_of(outer.body, opp.copy_loop)
+    if cp_index < 0:
+        raise TransformError("copy loop vanished before transformation")
+    del outer.body[cp_index]
+
+    # At gains a 2K-slot dimension (two banks, double buffering); the
+    # producer now fills slab `slot`
+    expand_temp_decl(opp.unit, opp.temp_array, 2 * k)
+    redirect_producer(opp, names)
+
+    # before the producer: the cyclic slot index
+    prod_index = index_of(outer.body, opp.producer_call)
+    if prod_index < 0:
+        raise TransformError("producer call vanished before transformation")
+    outer.body.insert(prod_index, gen_slot_assign(plan, names))
+
+    # end-of-tile guard: wait for the *previous* tile's sends (their
+    # bank is rewritten starting next iteration), then send this
+    # tile's K slabs from the current bank
+    ordinal = _ordinal_expr(plan.outer_var, plan.outer_lo)
+    first_global = b.sub(
+        _ordinal_expr(plan.outer_var, plan.outer_lo), k - 1
+    )
+    # bank offset of tile t = mod(t - 1, 2) * K, with t = ordinal / K
+    bank = b.mul(
+        b.mod(b.sub(b.div(_ordinal_expr(plan.outer_var, plan.outer_lo), k), 1), 2),
+        k,
+    )
+    comm = gen_send_wait(names) + gen_slab_comm(
+        plan,
+        layout,
+        names,
+        opp,
+        slots=k,
+        first_global_expr=first_global,
+        slot_base_expr=bank,
+    )
+    outer.body.append(b.if_(b.eq(b.mod(ordinal, k), 0), comm))
+
+    # leftover slabs + final wait at the site of C; C removed
+    post: List[Stmt] = []
+    if plan.leftover:
+        post.append(b.comment(" exchange leftover slabs"))
+        post.extend(
+            gen_slab_comm(
+                plan,
+                layout,
+                names,
+                opp,
+                slots=plan.leftover,
+                first_global_expr=IntLit(
+                    value=plan.trip - plan.leftover + 1
+                ),
+                slot_base_expr=IntLit(value=(plan.ntiles % 2) * k),
+            )
+        )
+    post.extend(final_wait(names))
+    _replace_call(opp, post)

@@ -36,6 +36,8 @@ from ..lang.ast_nodes import (
 from ..lang.visitor import walk
 from ..analysis.deps import LoopSpec, all_dependence_directions
 from ..analysis.loops import NestInfo
+from ..analysis.patterns import Opportunity
+from .direct import DirectPlan
 
 
 def arrays_accessed(body: Sequence[Stmt]) -> List[str]:
@@ -166,3 +168,37 @@ def apply_interchange(nest: NestInfo, p: int, q: int) -> NestInfo:
     from ..analysis.loops import loop_chain
 
     return loop_chain(nest.root)
+
+
+def try_interchange(opp: Opportunity, probe: DirectPlan) -> bool:
+    """§3.5: move the node loop inward when it is outermost and legal.
+
+    Mutates the nest headers in place on success (and refreshes
+    ``opp.nest``/``opp.notes``); returns whether the interchange
+    happened.
+    """
+    nest = opp.nest
+    if nest.depth < 2:
+        return False
+    # find an inner loop driving a non-last dimension of the write
+    target = None
+    for d, acc in enumerate(probe.accesses[:-1]):
+        if acc.var is None:
+            continue
+        for qi, loop in enumerate(nest.loops):
+            if qi > 0 and loop.var == acc.var:
+                target = qi
+                break
+        if target is not None:
+            break
+    if target is None:
+        return False
+    legal, _reason = interchange_legal(nest, 0, target, opp.params)
+    if not legal:
+        return False
+    opp.nest = apply_interchange(nest, 0, target)
+    opp.notes.append(
+        f"interchanged loops 1 and {target + 1} to move the node loop "
+        f"inward (§3.5)"
+    )
+    return True

@@ -1,14 +1,49 @@
-"""Per-site generated-variable names and their declarations."""
+"""Generated-variable names: the fresh-name pool, each site's names and
+their declarations.
+
+Generated helper variables (``pp_me``, ``pp_j``, tile counters, copy-loop
+indices...) must not collide with names the program already uses.  The
+``pp_`` prefix follows the tool's name ("pre-push").
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Set
 
-from ..lang.ast_nodes import TypeDecl, Unit
+from ..lang.ast_nodes import ArrayRef, FuncCall, TypeDecl, Unit, VarRef
 from ..lang import builder as b
 from ..lang.symtab import build_symtab
-from .naming import NamePool
+
+
+class NamePool:
+    """Allocates identifiers unused by the unit."""
+
+    def __init__(self, unit: Unit, prefix: str = "pp_") -> None:
+        self.prefix = prefix
+        self.used: Set[str] = set()
+        table = build_symtab(unit)
+        self.used.update(table.symbols)
+        self.used.update(table.externals)
+        for node in unit.walk():
+            if isinstance(node, (VarRef, ArrayRef, FuncCall)):
+                self.used.add(node.name)
+
+    def fresh(self, hint: str) -> str:
+        """A new name like ``pp_<hint>`` (numbered on collision)."""
+        base = f"{self.prefix}{hint}"
+        if base not in self.used:
+            self.used.add(base)
+            return base
+        i = 2
+        while f"{base}{i}" in self.used:
+            i += 1
+        name = f"{base}{i}"
+        self.used.add(name)
+        return name
+
+    def reserve(self, name: str) -> None:
+        self.used.add(name)
 
 
 @dataclass
@@ -73,3 +108,11 @@ class SiteNames:
             if extra is not None:
                 names.append(extra)
         return [b.int_decl(*names)]
+
+
+def insert_prolog(unit: Unit, names: SiteNames) -> None:
+    """Declare generated variables and initialize ``me = mynode()``."""
+    unit.decls.extend(names.declarations())
+    unit.body.insert(
+        0, b.assign(b.var(names.me), b.call_expr("mynode"))
+    )

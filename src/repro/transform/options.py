@@ -1,10 +1,9 @@
 """The one frozen options object every transformation path shares.
 
-Before this module existed, ``tile_size`` / ``interchange`` were loose
-keyword arguments threaded separately through ``Compuniformer``,
-``PreparedApp``, the request dataclasses, and the sweep expansion — and
-the sweep cache had to hash each one ad hoc.  :class:`TransformOptions`
-collapses them into a single immutable value with a
+:class:`TransformOptions` is the only spelling of the transformation
+knobs (``tile_size``, ``interchange``, ``max_sites``): the pipeline,
+``PreparedApp``, the request dataclasses and the sweep expansion all
+take one.  It is a single immutable value with a
 ``canonical_params()`` serialization, exactly like
 :meth:`~repro.runtime.network.NetworkModel.canonical_params` and
 :meth:`~repro.runtime.costmodel.CostModel.canonical_params`: the same
@@ -73,37 +72,3 @@ class TransformOptions:
 
 #: The all-defaults options every entry point shares.
 DEFAULT_TRANSFORM_OPTIONS = TransformOptions()
-
-
-def fold_legacy_options(
-    options: Optional[TransformOptions],
-    tile_size: Union[None, int, str] = None,
-    interchange: Optional[str] = None,
-    *,
-    exc: type = TransformError,
-) -> TransformOptions:
-    """One :class:`TransformOptions` from either form of the knobs.
-
-    The single copy of the folding rule every entry point
-    (``Session``, ``PreparedApp``, ``verify_transform``) shares:
-    ``options`` wins when it is the only source; giving ``options``
-    *and* a non-default legacy ``tile_size``/``interchange`` raises
-    ``exc`` — silently preferring one source would run a different
-    transformation than the caller asked for.  ``None`` and ``"auto"``
-    both mean "legacy knob not given".
-    """
-    legacy_given = tile_size not in (None, AUTO) or interchange not in (
-        None,
-        "auto",
-    )
-    if options is not None:
-        if legacy_given:
-            raise exc(
-                "options= already carries the transformation knobs; "
-                "drop the legacy tile_size=/interchange= arguments"
-            )
-        return options
-    return TransformOptions(
-        tile_size=AUTO if tile_size is None else tile_size,
-        interchange=interchange or "auto",
-    )

@@ -1,13 +1,11 @@
 """Composable transform-pass pipeline and the variant registry.
 
-The paper's transformation used to be one monolithic
-:class:`~repro.transform.prepush.Compuniformer` rewrite, and the
-harness hardcoded exactly two variants ("original" vs "prepush").
-This module decomposes the rewrite into discrete **passes** over the
-program AST — the shape proven by pass-based compiler frameworks —
-and makes the compiler the repo's third pluggable registry, after
-network scenarios (:mod:`repro.runtime.network`) and collective
-algorithms (:mod:`repro.runtime.collectives`):
+The paper's tool applies its five-step §3.6 rewrite in one place;
+here that place is a chain of discrete **passes** over the program AST
+— the shape proven by pass-based compiler frameworks — and the compiler
+is the repo's third pluggable registry, after network scenarios
+(:mod:`repro.runtime.network`) and collective algorithms
+(:mod:`repro.runtime.collectives`):
 
 * a :class:`Pass` is one named, self-contained phase with
   ``applicable(program, state)`` and ``apply(program, options, state)``
@@ -15,8 +13,8 @@ algorithms (:mod:`repro.runtime.collectives`):
   :class:`PassReport`);
 * a :class:`Pipeline` chains passes, capturing an inspectable
   source-text snapshot after every pass, and returns a
-  :class:`PipelineReport` — a drop-in
-  :class:`~repro.transform.prepush.TransformReport` extended with the
+  :class:`PipelineReport` — the rewritten program, one
+  :class:`SiteReport` per rewritten site, the rejected sites, and the
   per-pass chain;
 * the **variant registry** (:func:`register_variant` /
   :func:`get_variant` / :func:`list_variants`) names pipelines so the
@@ -31,19 +29,19 @@ Built-in variants
     every comparison).
 ``prepush``
     ``interchange → tile → commgen → indirect-elim`` — the full §3
-    transformation.  Its output is **bit-identical** to the legacy
-    :class:`~repro.transform.prepush.Compuniformer`: both run the same
-    shared site-level code generators
-    (:func:`~repro.transform.prepush.direct_rewrite` et al.), and the
-    golden parity suite asserts text equality across every workload.
+    transformation (the CLI ``transform`` verb and every comparison's
+    default).  The golden parity suite holds its output bit-identical,
+    on every figure workload, to the frozen outputs of the original
+    monolithic implementation it replaced (DESIGN.md §9.3).
 ``tile-only``
     ``tile → commgen``: direct sites get the tiled early-push rewrite,
     but the node loop is never interchanged and indirect sites are
     left untouched (isolates the benefit of tiling alone).
 ``no-interchange``
     ``tile → commgen → indirect-elim``: the full rewrite minus §3.5 —
-    equivalent to ``Compuniformer(interchange="never")`` (Ablation E's
-    congested arm).
+    the same program as ``prepush`` with
+    ``TransformOptions(interchange="never")`` (Ablation E's congested
+    arm).
 ``prepush-schemeB-off``
     The full pipeline, but sites whose resolved plan is scheme B keep
     their original alltoall (ablates the owner-block codegen path).
@@ -52,7 +50,7 @@ Pass ordering note: the registered ``prepush`` pipeline runs
 ``interchange`` *before* ``tile`` because the tile size of a scheme-B
 site depends on the post-interchange geometry (K must divide the
 partition thickness only while the site *stays* scheme B); resolving K
-first would pick a different tile size than the monolithic driver.
+first would pick a different tile size.
 
 Writing a third-party pass
 --------------------------
@@ -75,6 +73,7 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
+    Set,
     Tuple,
     Union,
     runtime_checkable,
@@ -93,23 +92,13 @@ from ..lang.ast_nodes import CallStmt, SourceFile
 from ..lang.parser import parse
 from ..lang.unparser import unparse
 from ..lang.visitor import clone, walk
-from .direct import DirectPlan, analyze_direct
-from .indirect import IndirectPlan, analyze_indirect
+from .direct import DirectPlan, analyze_direct, direct_rewrite
+from .indirect import IndirectPlan, analyze_indirect, indirect_rewrite
+from .interchange import try_interchange
 from .layout import SiteLayout, resolve_layout
-from .names import SiteNames
-from .naming import NamePool
+from .names import NamePool, SiteNames, insert_prolog
 from .options import DEFAULT_TRANSFORM_OPTIONS, TransformOptions
-from .prepush import (
-    SiteReport,
-    TransformReport,
-    _dedupe,
-    direct_rewrite,
-    indirect_rewrite,
-    insert_prolog,
-    resolve_tile_size,
-    try_interchange,
-)
-from .tiling import Tiling
+from .tiling import Tiling, resolve_tile_size
 
 __all__ = [
     "Pass",
@@ -120,6 +109,7 @@ __all__ = [
     "PipelineReport",
     "PipelineState",
     "SitePlan",
+    "SiteReport",
     "CommGenPass",
     "IndirectElimPass",
     "InterchangePass",
@@ -146,6 +136,43 @@ def has_candidate_sites(
 
 
 # ---------------------------------------------------------------- reports
+
+
+@dataclass
+class SiteReport:
+    """What was done to one transformed communication site."""
+
+    unit: str
+    send_array: str
+    recv_array: str
+    kind: PatternKind
+    scheme: str  # 'A' (Fig. 4 pairwise), 'B' (owner block), 'slab' (indirect)
+    tile_size: int
+    trip: int
+    ntiles: int
+    leftover: int
+    interchanged: bool = False
+    #: arrays made dead by the rewrite (indirect: As is never written again)
+    dead_arrays: Tuple[str, ...] = ()
+    notes: List[str] = field(default_factory=list)
+
+    @property
+    def comm_rounds(self) -> int:
+        """Communication blocks issued per execution of the original C."""
+        return self.ntiles + (1 if self.leftover else 0)
+
+
+def _dedupe(rejections: List[Rejection]) -> List[Rejection]:
+    """Drop repeated rejections of the same call node (planning and the
+    rewrite passes may each report the same site)."""
+    seen: Set[Tuple[int, str]] = set()
+    out: List[Rejection] = []
+    for r in rejections:
+        key = (id(r.call), r.reason)
+        if key not in seen:
+            seen.add(key)
+            out.append(r)
+    return out
 
 
 @dataclass
@@ -232,8 +259,7 @@ class SitePlan:
 
     Computed once per pipeline run (lazily, by the first pass that
     needs it) so every rewrite pass agrees on layouts, tile sizes, and
-    generated names — exactly the quantities the monolithic driver
-    resolved per site.
+    generated names.
     """
 
     opp: Opportunity
@@ -295,11 +321,11 @@ def _plan_sites(
 ) -> SitePlans:
     """Discover and plan every transformable site, in discovery order.
 
-    Mirrors the monolithic driver's processing order (units in program
-    order, opportunities in scan order) including its name-allocation
-    sequence: names are drawn from the per-unit pool *before* tile-size
+    Units are visited in program order, opportunities in scan order.
+    Names are drawn from the per-unit pool *before* tile-size
     resolution, so a site rejected for an illegal K still consumes its
-    names — keeping generated identifiers identical to the legacy path.
+    names — the generated identifiers the golden parity suite pins
+    (DESIGN.md §9.3) depend on that sequence.
     """
     sites: List[SitePlan] = []
     rejections: List[Rejection] = []
@@ -681,20 +707,57 @@ def _rewrite_planned_sites(
 
 
 @dataclass
-class PipelineReport(TransformReport):
-    """A :class:`~repro.transform.prepush.TransformReport` that also
-    carries the per-pass chain and the intermediate snapshots.
+class PipelineReport:
+    """Result of running a :class:`Pipeline` over a program.
 
-    Being a subclass, everything downstream of the legacy report —
-    ``.sites``, ``.rejections``, ``.unparse()``, ``.dead_arrays`` —
-    works unchanged; ``.passes`` / ``.snapshots`` add the pipeline's
-    inspectability.
+    ``source`` is the rewritten AST, ``sites`` the rewritten
+    communication sites (in discovery order) and ``rejections`` the
+    sites left alone with their reasons; ``passes`` / ``snapshots``
+    add the per-pass chain and the intermediate program texts.
     """
 
+    source: SourceFile
+    sites: List[SiteReport]
+    rejections: List[Rejection]
     pipeline: str = ""
     options: TransformOptions = DEFAULT_TRANSFORM_OPTIONS
     passes: List[PassReport] = field(default_factory=list)
     snapshots: List[PassSnapshot] = field(default_factory=list)
+
+    @property
+    def transformed(self) -> bool:
+        """Was at least one communication site rewritten?"""
+        return bool(self.sites)
+
+    @property
+    def dead_arrays(self) -> Tuple[str, ...]:
+        out: List[str] = []
+        for s in self.sites:
+            out.extend(s.dead_arrays)
+        return tuple(out)
+
+    def unparse(self) -> str:
+        """The transformed program as Fortran source text."""
+        return unparse(self.source)
+
+    def describe(self) -> str:
+        """Human-readable summary (what the semi-automatic tool prints)."""
+        lines: List[str] = []
+        for s in self.sites:
+            lines.append(
+                f"[{s.unit}] {s.kind.value} pattern on {s.send_array!r} -> "
+                f"{s.recv_array!r}: scheme {s.scheme}, K={s.tile_size} "
+                f"({s.ntiles} tiles"
+                + (f" + leftover {s.leftover}" if s.leftover else "")
+                + ")"
+                + (" [interchanged]" if s.interchanged else "")
+            )
+            lines.extend(f"    note: {n}" for n in s.notes)
+        for r in self.rejections:
+            lines.append(f"rejected alltoall site: {r.reason}")
+        if not lines:
+            lines.append("no transformable communication sites found")
+        return "\n".join(lines)
 
     @property
     def changed(self) -> bool:
@@ -806,9 +869,9 @@ class Pipeline:
                     )
                 )
         # aggregate rewritten sites in *discovery* order (the plan
-        # order the legacy monolith reports), not pass order — the two
-        # differ when direct and indirect sites interleave; sites from
-        # third-party passes that bypass the planner follow after
+        # order), not pass order — the two differ when direct and
+        # indirect sites interleave; sites from third-party passes that
+        # bypass the planner follow after
         planned = (
             [sp.report for sp in state.plans.sites if sp.report is not None]
             if state.plans is not None

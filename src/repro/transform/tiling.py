@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Tuple, Union
 
 from ..errors import TransformError
+from .options import AUTO
 
 
 @dataclass(frozen=True)
@@ -152,6 +153,26 @@ def choose_tile_size(
             f"{must_divide}"
         )
     return min(candidates, key=lambda d: (abs(d - want), d))
+
+
+def resolve_tile_size(
+    tile_size: Union[int, str], trip: int, must_divide: int = 0
+) -> int:
+    """The requested K validated against one site's geometry (§3.6)."""
+    if tile_size == AUTO:
+        return choose_tile_size(trip, must_divide=must_divide)
+    k = int(tile_size)
+    if k > trip:
+        raise TransformError(
+            f"requested tile size {k} exceeds the {trip}-iteration trip "
+            f"count"
+        )
+    if must_divide and must_divide % k != 0:
+        raise TransformError(
+            f"requested tile size {k} does not divide the partition "
+            f"thickness {must_divide} (scheme B requirement)"
+        )
+    return k
 
 
 def comm_rounds(trip: int, k: int) -> int:

@@ -11,7 +11,7 @@ simulated cluster and compares:
 Array comparison is *shape-aware*: arrays the transformation legitimately
 changes (the expanded temporary ``At``) or kills (``As`` after indirect
 copy-elimination — it is never written again) are excluded, either via an
-explicit ``skip`` set (use ``TransformReport.dead_arrays``) or
+explicit ``skip`` set (use ``PipelineReport.dead_arrays``) or
 automatically when shapes differ.  Generated ``pp_*`` helper variables
 only exist on the transformed side and are ignored by construction
 (we compare the intersection of names).
@@ -178,7 +178,7 @@ def verify_equivalence(
     """Run both programs on the simulated cluster and compare results.
 
     ``skip`` names arrays that are expected to legitimately differ (pass
-    ``TransformReport.dead_arrays``).  ``collective`` selects the
+    ``PipelineReport.dead_arrays``).  ``collective`` selects the
     collective algorithms both runs use (the §4 claim must hold whatever
     schedule implements the original's alltoall).  With ``check=True`` a
     mismatch raises :class:`~repro.errors.VerificationError` instead of
@@ -221,8 +221,6 @@ def verify_transform(
     original: Union[str, SourceFile],
     nranks: int,
     *,
-    tile_size: Union[int, str] = "auto",
-    interchange: str = "auto",
     oracle=None,
     variant=None,
     options=None,
@@ -231,16 +229,15 @@ def verify_transform(
     externals: Optional[ExternalRegistry] = None,
     check: bool = False,
     collective: CollectiveSpec = None,
-) -> Tuple[EquivalenceReport, "TransformReport"]:
+) -> Tuple[EquivalenceReport, "PipelineReport"]:
     """Transform ``original`` and verify the result in one call.
 
     The transformation runs through the variant registry
     (:mod:`repro.transform.pipeline`): ``variant`` names a registered
     pipeline (default ``"prepush"``) and ``options`` is a
-    :class:`~repro.transform.options.TransformOptions`; when ``options``
-    is omitted one is built from the legacy ``tile_size``/
-    ``interchange`` keywords.  Returns ``(equivalence,
-    transform_report)`` — the report is a
+    :class:`~repro.transform.options.TransformOptions` (``None`` = the
+    defaults).  Returns ``(equivalence, transform_report)`` — the
+    report is a
     :class:`~repro.transform.pipeline.PipelineReport` carrying the
     per-pass chain.  Raises
     :class:`~repro.errors.VerificationError` when the variant left the
@@ -248,12 +245,8 @@ def verify_transform(
     single copy of the transform-then-check workflow;
     :meth:`repro.api.Session.verify` delegates here.
     """
-    from .transform.options import fold_legacy_options
     from .transform.pipeline import resolve_variant
 
-    options = fold_legacy_options(
-        options, tile_size, interchange, exc=VerificationError
-    )
     pipeline = resolve_variant(variant if variant is not None else "prepush")
     report = pipeline.run(original, options, oracle=oracle)
     if not report.changed:

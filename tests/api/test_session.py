@@ -20,6 +20,7 @@ from repro.harness.figures import figure1
 from repro.harness.sweep import SweepSpec, _execute_sweep
 from repro.runtime import network as network_registry
 from repro.runtime.costmodel import DEFAULT_COST_MODEL
+from repro.transform import TransformOptions
 from tests.programs import direct_2d
 
 NRANKS = 4
@@ -91,10 +92,10 @@ class TestRequests:
         src = direct_2d()
         s = Session(network="gmnet")
         got = s.measure(Job(program=src, nranks=NRANKS))
-        with pytest.warns(DeprecationWarning):
-            from repro.harness.runner import measure
+        # the engine core the retired kwargs measure shim ran, no Session
+        from repro.harness.runner import _measure_impl
 
-            legacy = measure(src, NRANKS, "gmnet")
+        legacy = _measure_impl(src, NRANKS, "gmnet")
         assert got.to_dict() == legacy.to_dict()
 
     def test_job_overrides_beat_session_defaults(self):
@@ -122,11 +123,12 @@ class TestRequests:
     def test_compare_matches_legacy_run_pair(self):
         app = build_app("fft", nranks=NRANKS, n=32, steps=1, stages=2)
         s = Session(network="gmnet")
-        got = s.compare(CompareRequest(app=app, tile_size=4))
-        with pytest.warns(DeprecationWarning):
-            from repro.harness.runner import run_pair
+        options = TransformOptions(tile_size=4)
+        got = s.compare(CompareRequest(app=app, options=options))
+        # the PreparedApp path the retired kwargs run_pair shim ran
+        from repro.harness.runner import PreparedApp
 
-            legacy = run_pair(app, "gmnet", tile_size=4)
+        legacy = PreparedApp(app, options=options).run_on("gmnet")
         assert got.original.to_dict() == legacy.original.to_dict()
         assert got.prepush.to_dict() == legacy.prepush.to_dict()
         assert got.equivalent and legacy.equivalent

@@ -14,7 +14,7 @@ from repro.errors import ReproError, TransformError
 from repro.interp.runner import job_fingerprint
 from repro.transform.options import TransformOptions
 from repro.transform.pipeline import get_variant
-from repro.transform.prepush import Compuniformer
+from tests.transform.test_pipeline import PARITY, fingerprint
 
 
 @pytest.fixture(scope="module")
@@ -64,9 +64,10 @@ class TestTransform:
         assert rep.sites[0].tile_size == 2
 
     def test_matches_legacy_compuniformer(self, app):
+        """The session's default transform reproduces the frozen output
+        of the original monolithic transformer on this app."""
         rep = Session().transform(app.source)
-        legacy = Compuniformer().transform(app.source)
-        assert rep.unparse() == legacy.unparse()
+        assert fingerprint(rep) == PARITY["session_default_fft"]
 
 
 class TestJobVariant:
@@ -143,7 +144,9 @@ class TestPrepareAndCompare:
         assert prepared.transform.pipeline == "prepush"
 
     def test_options_and_legacy_kwargs_conflict(self, app):
-        with pytest.raises(ReproError, match="drop the legacy"):
+        # TransformOptions is the only spelling of the knobs: the
+        # retired tile_size= field no longer exists to conflict with it
+        with pytest.raises(TypeError, match="tile_size"):
             Session().prepare(
                 CompareRequest(
                     app=app,

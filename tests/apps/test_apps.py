@@ -6,7 +6,7 @@ from repro.apps import APP_BUILDERS, build_app
 from repro.apps.base import AppSpec, mix_stages, stage_decls
 from repro.analysis.patterns import find_opportunities
 from repro.errors import ReproError
-from repro.interp import run_cluster
+from repro.api import Job, Session
 from repro.lang import parse
 
 SMALL = {
@@ -47,7 +47,9 @@ def test_app_detector_classification(name):
 @pytest.mark.parametrize("name", sorted(APP_BUILDERS))
 def test_app_runs_on_cluster(name):
     app = build_app(name, **SMALL[name])
-    run = run_cluster(app.source, app.nranks, externals=app.externals)
+    run = Session(network="ideal").run(
+        Job(program=app.source, nranks=app.nranks, externals=app.externals)
+    )
     assert run.time > 0
     for array in app.check_arrays:
         assert array in run.arrays[0]
@@ -72,7 +74,9 @@ def test_rank_dependence():
 
     for name in sorted(APP_BUILDERS):
         app = build_app(name, **SMALL[name])
-        run = run_cluster(app.source, app.nranks, externals=app.externals)
+        run = Session(network="ideal").run(
+            Job(program=app.source, nranks=app.nranks, externals=app.externals)
+        )
         a0 = run.arrays[0][app.check_arrays[0]]
         a1 = run.arrays[1][app.check_arrays[0]]
         assert not np.array_equal(a0, a1), name
@@ -85,8 +89,11 @@ def test_external_variant_matches_subroutine_variant():
 
     sub = build_app("indirect", n=8, nranks=4, stages=3)
     ext = build_app("indirect-external", n=8, nranks=4, stages=3)
-    run_sub = run_cluster(sub.source, 4)
-    run_ext = run_cluster(ext.source, 4, externals=ext.externals)
+    session = Session(network="ideal")
+    run_sub = session.run(Job(program=sub.source, nranks=4))
+    run_ext = session.run(
+        Job(program=ext.source, nranks=4, externals=ext.externals)
+    )
     for r in range(4):
         assert np.array_equal(run_sub.array(r, "ar"), run_ext.array(r, "ar"))
 

@@ -5,6 +5,7 @@ import dataclasses
 
 import pytest
 
+from repro.api import CompareRequest, Job, Session
 from repro.apps import build_app
 from repro.errors import ReproError
 from repro.harness.figures import (
@@ -16,9 +17,9 @@ from repro.harness.figures import (
     ablation_workloads,
     figure1,
 )
-from repro.harness.runner import PreparedApp, measure, run_pair
-from repro.interp.runner import run_cluster
+from repro.harness.runner import PreparedApp
 from repro.runtime.network import IDEAL, MPICH_GM
+from repro.transform import TransformOptions
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +29,9 @@ def small_app():
 
 class TestMeasure:
     def test_measure_fields(self, small_app):
-        m = measure(small_app.source, 4, MPICH_GM, label="x")
+        m = Session(network=MPICH_GM).measure(
+            Job(program=small_app.source, nranks=4, label="x")
+        )
         assert m.time > 0
         assert m.compute_time > 0
         assert m.messages == 4 * 3  # one alltoall: NP*(NP-1)
@@ -40,10 +43,9 @@ class TestMeasure:
         """comm_cost must be max over ranks of (wait + overhead), never a
         mix of the independent wait maximum and overhead maximum from
         different ranks."""
-        m = measure(small_app.source, 4, MPICH_GM)
-        stats = run_cluster(
-            small_app.source, 4, MPICH_GM
-        ).result.stats
+        job = Job(program=small_app.source, nranks=4, network=MPICH_GM)
+        m = Session().measure(job)
+        stats = Session().run(job).result.stats
         per_rank = [s.wait_time + s.mpi_overhead_time for s in stats]
         assert m.comm_cost == pytest.approx(max(per_rank))
         worst = max(
@@ -59,10 +61,11 @@ class TestMeasure:
         assert m.comm_cost <= mixed
 
     def test_measure_records_collective_suite(self, small_app):
-        m = measure(small_app.source, 4, MPICH_GM)
+        job = Job(program=small_app.source, nranks=4, network=MPICH_GM)
+        m = Session().measure(job)
         assert "alltoall=pairwise" in m.collective
-        m2 = measure(
-            small_app.source, 4, MPICH_GM, collective={"alltoall": "bruck"}
+        m2 = Session().measure(
+            dataclasses.replace(job, collective={"alltoall": "bruck"})
         )
         assert "alltoall=bruck" in m2.collective
         assert m2.time != m.time
@@ -70,7 +73,9 @@ class TestMeasure:
 
 class TestPreparedApp:
     def test_reusable_across_networks(self, small_app):
-        prepared = PreparedApp(small_app, tile_size=4)
+        prepared = PreparedApp(
+            small_app, options=TransformOptions(tile_size=4)
+        )
         a = prepared.run_on(MPICH_GM)
         b = prepared.run_on(IDEAL)
         assert a.network == "mpich-gm"
@@ -78,24 +83,38 @@ class TestPreparedApp:
         assert a.prepush.bytes_sent == b.prepush.bytes_sent
 
     def test_verify_on_construction(self, small_app):
-        prepared = PreparedApp(small_app, tile_size=4, verify=True)
+        prepared = PreparedApp(
+            small_app, options=TransformOptions(tile_size=4), verify=True
+        )
         assert prepared.equivalent
 
     def test_untransformable_app_raises(self):
         app = build_app("fft", n=8, nranks=4, steps=1, stages=2)
         # tile size 100 > trip count: nothing transformable
         with pytest.raises(ReproError, match="not transformed"):
-            PreparedApp(app, tile_size=100)
+            PreparedApp(app, options=TransformOptions(tile_size=100))
 
     def test_pair_result_properties(self, small_app):
-        pair = run_pair(small_app, MPICH_GM, tile_size=4)
+        pair = Session().compare(
+            CompareRequest(
+                app=small_app,
+                network=MPICH_GM,
+                options=TransformOptions(tile_size=4),
+            )
+        )
         assert pair.speedup == pair.original.time / pair.prepush.time
         assert -5.0 < pair.overhead_reduction <= 1.0
 
     def test_speedup_degenerate_zero_work(self, small_app):
         """0/0 (both variants take no virtual time) is 'no change', not
         an infinite speedup; a real win over zero time stays inf."""
-        pair = run_pair(small_app, MPICH_GM, tile_size=4)
+        pair = Session().compare(
+            CompareRequest(
+                app=small_app,
+                network=MPICH_GM,
+                options=TransformOptions(tile_size=4),
+            )
+        )
         zeroed = dataclasses.replace(
             pair,
             original=dataclasses.replace(pair.original, time=0.0),
@@ -108,7 +127,9 @@ class TestPreparedApp:
         assert real_over_zero.speedup == float("inf")
 
     def test_run_on_collective_knob(self, small_app):
-        prepared = PreparedApp(small_app, tile_size=4)
+        prepared = PreparedApp(
+            small_app, options=TransformOptions(tile_size=4)
+        )
         default = prepared.run_on(MPICH_GM)
         bruck = prepared.run_on(MPICH_GM, collective={"alltoall": "bruck"})
         # the original contains the alltoall: its schedule moves; the

@@ -7,7 +7,7 @@ import pytest
 
 from repro.apps import APP_BUILDERS, build_app
 from repro.runtime.network import IDEAL, MPICH_GM, MPICH_P4
-from repro.transform import Compuniformer
+from repro.transform import TransformOptions, get_variant
 from repro.verify import verify_equivalence, verify_transform
 
 SMALL = {
@@ -23,10 +23,11 @@ SMALL = {
 
 
 def _check(app, tile_size, network=MPICH_GM, interchange="auto"):
-    tool = Compuniformer(
-        tile_size=tile_size, oracle=app.oracle, interchange=interchange
+    report = get_variant("prepush").run(
+        app.source,
+        TransformOptions(tile_size=tile_size, interchange=interchange),
+        oracle=app.oracle,
     )
-    report = tool.transform(app.source)
     assert report.transformed, [r.reason for r in report.rejections]
     eq = verify_equivalence(
         app.source,
@@ -105,7 +106,10 @@ def test_congested_nodeloop_still_correct():
 def test_verify_transform_one_call():
     app = build_app("figure2", **SMALL["figure2"])
     eq, report = verify_transform(
-        app.source, app.nranks, tile_size=4, network=MPICH_GM
+        app.source,
+        app.nranks,
+        options=TransformOptions(tile_size=4),
+        network=MPICH_GM,
     )
     assert eq.equivalent
     assert report.transformed

@@ -12,9 +12,10 @@ than approximate precision.
 import numpy as np
 import pytest
 
+from repro.api import Job, Session
 from repro.apps import build_app
-from repro.interp.runner import ClusterJob, run_cluster, run_many
-from repro.transform.prepush import Compuniformer
+from repro.interp.runner import ClusterJob, run_many
+from repro.transform import TransformOptions, get_variant
 
 
 def assert_runs_bit_identical(a, b):
@@ -38,7 +39,10 @@ def _jobs():
     """A job mix covering point-to-point, collectives, and the prepush
     schedule, on both the offload and host-driven stacks."""
     fft = build_app("fft", n=8, nranks=4, steps=1, stages=2)
-    prepush = Compuniformer(tile_size=2).transform(fft.source)
+    prepush = get_variant("prepush").run(
+        fft.source,
+        TransformOptions(tile_size=2),
+    )
     cg = build_app("cg", n=16, nranks=4, steps=2, stages=2)
     return [
         ClusterJob(program=fft.source, nranks=4, network="gmnet"),
@@ -53,18 +57,14 @@ class TestSerialDeterminism:
     @pytest.mark.parametrize("index", range(4))
     def test_same_job_twice_is_bit_identical(self, index):
         job = _jobs()[index]
-        first = run_cluster(
-            job.program,
-            job.nranks,
-            job.network,
+        request = Job(
+            program=job.program,
+            nranks=job.nranks,
+            network=job.network,
             collective=job.collective,
         )
-        second = run_cluster(
-            job.program,
-            job.nranks,
-            job.network,
-            collective=job.collective,
-        )
+        first = Session().run(request)
+        second = Session().run(request)
         assert_runs_bit_identical(first, second)
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.runtime.collectives import list_algorithms
 from repro.runtime.network import get_model, list_models
-from repro.transform import Compuniformer
+from repro.transform import TransformOptions, get_variant
 from repro.verify import verify_equivalence
 
 #: Strategies over the registries, resolved at import time: models and
@@ -73,7 +73,10 @@ def test_random_direct_programs_equivalent(
     nranks, planes, rows, c1, c2, c3, swap, k, network, algorithm
 ):
     src = _direct_program(nranks, planes, rows, c1, c2, c3, swap)
-    report = Compuniformer(tile_size=min(k, rows)).transform(src)
+    report = get_variant("prepush").run(
+        src,
+        TransformOptions(tile_size=min(k, rows)),
+    )
     if not report.transformed:
         # some (k, geometry) pairs are legitimately rejected (scheme B
         # divisibility); rejection is fine, mis-compilation is not
@@ -138,7 +141,10 @@ def test_random_indirect_programs_equivalent(n, nranks, k, network, algorithm):
     if n % nranks:
         return
     src = _indirect_program(n, nranks)
-    report = Compuniformer(tile_size=min(k, n)).transform(src)
+    report = get_variant("prepush").run(
+        src,
+        TransformOptions(tile_size=min(k, n)),
+    )
     assert report.transformed, [r.reason for r in report.rejections]
     eq = verify_equivalence(
         src,

@@ -32,9 +32,12 @@ from repro.runtime.events import Compute
 from repro.runtime.mpi import SimComm
 from repro.runtime.network import resolve_model
 from repro.runtime.simulator import Engine
-from repro.transform import Compuniformer
 from repro.transform.options import TransformOptions
-from repro.transform.pipeline import list_variants, resolve_variant
+from repro.transform.pipeline import (
+    get_variant,
+    list_variants,
+    resolve_variant,
+)
 from tests.integration.test_property_equivalence import (
     _direct_program,
     _indirect_program,
@@ -423,7 +426,10 @@ def test_roster_apps_and_variants(name, variant):
 def test_random_direct_programs(nranks, planes, rows, c1, c2, c3, swap, k):
     src = _direct_program(nranks, planes, rows, c1, c2, c3, swap)
     assert_parity(src, nranks)
-    report = Compuniformer(tile_size=min(k, rows)).transform(src)
+    report = get_variant("prepush").run(
+        src,
+        TransformOptions(tile_size=min(k, rows)),
+    )
     if report.transformed:
         assert_parity(report.source, nranks)
 
@@ -443,7 +449,10 @@ def test_random_indirect_programs(n, nranks, k):
         return
     src = _indirect_program(n, nranks)
     assert_parity(src, nranks)
-    report = Compuniformer(tile_size=min(k, n)).transform(src)
+    report = get_variant("prepush").run(
+        src,
+        TransformOptions(tile_size=min(k, n)),
+    )
     assert_parity(report.source, nranks)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.apps import APP_BUILDERS, build_app
 from repro.lang import parse, unparse
-from repro.transform import Compuniformer
+from repro.transform import TransformOptions, get_variant
 
 SMALL = {
     "figure2": dict(n=32, nranks=4, steps=1, stages=2),
@@ -49,8 +49,10 @@ def test_transformed_app_roundtrip(name):
     comments, so the comparison is modulo the annotation comments the
     code generator emits."""
     app = build_app(name, **SMALL[name])
-    report = Compuniformer(tile_size=2, oracle=app.oracle).transform(
-        app.source
+    report = get_variant("prepush").run(
+        app.source,
+        TransformOptions(tile_size=2),
+        oracle=app.oracle,
     )
     assert report.transformed
     text = report.unparse()

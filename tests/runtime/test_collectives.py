@@ -427,13 +427,18 @@ def test_zero_length_allreduce_and_bcast():
 def test_run_cluster_collective_knob_equivalence():
     """Interpreter programs produce identical arrays under every
     algorithm choice (the knob changes timing, never data)."""
+    from repro.api import Job, Session
     from repro.apps import build_app
-    from repro.interp import run_cluster
 
     app = build_app("cg", n=16, nranks=4, steps=2, ndots=4, stages=2)
-    base = run_cluster(app.source, app.nranks, "gmnet")
-    alt = run_cluster(
-        app.source, app.nranks, "gmnet", collective={"allreduce": "ring"}
+    session = Session(network="gmnet")
+    base = session.run(Job(program=app.source, nranks=app.nranks))
+    alt = session.run(
+        Job(
+            program=app.source,
+            nranks=app.nranks,
+            collective={"allreduce": "ring"},
+        )
     )
     for r in range(app.nranks):
         for name in app.check_arrays:
@@ -442,16 +447,23 @@ def test_run_cluster_collective_knob_equivalence():
 
 
 def test_fft_original_timing_shifts_with_alltoall_algorithm():
+    from repro.api import Job, Session
     from repro.apps import build_app
-    from repro.harness.runner import measure
 
     app = build_app("fft", n=8, nranks=4, steps=1, stages=2)
+    session = Session(network=MPICH_GM)
     times = {
-        algo: measure(
-            app.source, 4, MPICH_GM, collective={"alltoall": algo}
+        algo: session.measure(
+            Job(
+                program=app.source,
+                nranks=4,
+                collective={"alltoall": algo},
+            )
         ).time
         for algo in list_algorithms("alltoall")
     }
     assert len(set(times.values())) > 1  # algorithms are distinguishable
-    m = measure(app.source, 4, MPICH_GM, collective="bruck")
+    m = session.measure(
+        Job(program=app.source, nranks=4, collective="bruck")
+    )
     assert "alltoall=bruck" in m.collective

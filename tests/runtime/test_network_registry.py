@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.interp.runner import run_cluster
+from repro.api import Job, Session
 from repro.runtime.network import (
     _REGISTRY,
     GM_2RAIL,
@@ -142,8 +142,8 @@ class TestGoldenParity:
         """A real program times identically under the named preset and a
         model carrying only the classic fields (defaults for the rest)."""
         src = direct_1d()
-        a = run_cluster(src, nranks=8, network=preset)
-        b = run_cluster(src, nranks=8, network=legacy)
+        a = Session().run(Job(program=src, nranks=8, network=preset))
+        b = Session().run(Job(program=src, nranks=8, network=legacy))
         assert a.result.time == b.result.time
         assert a.result.rank_times == b.result.rank_times
         assert a.result.stats == b.result.stats
@@ -183,6 +183,6 @@ class TestScenarioSemantics:
 
     def test_run_cluster_accepts_scenario_names(self):
         src = direct_1d()
-        named = run_cluster(src, nranks=8, network="gm-2rail")
-        direct = run_cluster(src, nranks=8, network=GM_2RAIL)
+        named = Session().run(Job(program=src, nranks=8, network="gm-2rail"))
+        direct = Session().run(Job(program=src, nranks=8, network=GM_2RAIL))
         assert named.result.time == direct.result.time

@@ -374,6 +374,62 @@ class TestBackpressureAndLifecycle:
         assert done["result"]["stats"]["points"] == 2
 
 
+class TestTransformKnobsOnTheWire:
+    """``compare``/``verify`` keep accepting ``tile_size`` and
+    ``interchange`` keys; the server folds them into one
+    TransformOptions inside the request's worker."""
+
+    def test_compare_tile_size_matches_session(self, served):
+        from repro.api import CompareRequest
+        from repro.apps import build_app
+        from repro.transform import TransformOptions
+
+        ts, _ = served
+        with ServeClient(port=ts.port) as client:
+            out = client.compare(
+                "fft", app_kwargs={"n": 8}, nranks=4, tile_size=4
+            )
+        app = build_app("fft", nranks=4, n=8)
+        want = Session().compare(
+            CompareRequest(app=app, options=TransformOptions(tile_size=4))
+        )
+        assert want.transform.sites[0].tile_size == 4
+        assert out["original"] == want.original.to_dict()
+        assert out["transformed"] == want.prepush.to_dict()
+        assert out["speedup"] == want.speedup
+
+    def test_verify_interchange_never_reaches_the_transform(self, served):
+        from repro.apps import build_app
+        from repro.transform import TransformOptions
+
+        ts, _ = served
+        app = build_app("nodeloop", n=24, steps=1, stages=2, nranks=4)
+        with ServeClient(port=ts.port) as client:
+            never = client.verify(
+                app.source, nranks=app.nranks, interchange="never"
+            )
+            auto = client.verify(app.source, nranks=app.nranks)
+        assert never["equivalent"] is True
+        want = Session().transform(
+            app.source, options=TransformOptions(interchange="never")
+        )
+        assert not want.sites[0].interchanged
+        assert never["transformed"] == want.unparse()
+        assert auto["transformed"] != never["transformed"]
+
+    def test_bad_tile_size_is_an_error_event(self, served):
+        ts, _ = served
+        with ServeClient(port=ts.port) as client:
+            with pytest.raises(RequestError, match="tile_size 0"):
+                client.compare(
+                    "fft", app_kwargs={"n": 8}, nranks=4, tile_size=0
+                )
+            # the same connection still serves valid requests
+            out = client.compare("fft", app_kwargs={"n": 8}, nranks=4)
+            assert out["equivalent"] is True
+            assert client.status()["protocol"] == PROTOCOL_VERSION
+
+
 class TestSessionParity:
     def test_cache_stats_match_session(self, tmp_path):
         """The server plans through the same stage as Session.sweep, so

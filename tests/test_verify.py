@@ -3,7 +3,9 @@
 import pytest
 
 from repro.errors import VerificationError
-from repro.interp import run_cluster
+from repro.api import Job, Session
+from repro.runtime.network import IDEAL
+from repro.transform.options import TransformOptions
 from repro.verify import compare_runs, verify_equivalence, verify_transform
 from tests.programs import direct_1d
 
@@ -58,8 +60,14 @@ def test_missing_requested_array_reported():
 def test_shape_mismatch_skipped_not_failed():
     other = GOOD.replace("integer :: ar(1:nx)", "integer :: ar(1:nx, 1:2)")
     # not a valid alltoall partner; just compare runs structurally
-    a = run_cluster(GOOD, 4)
-    b = run_cluster(GOOD.replace("integer :: iy, ix", "integer :: iy, ix, zq"), 4)
+    session = Session(network=IDEAL)
+    a = session.run(Job(program=GOOD, nranks=4))
+    b = session.run(
+        Job(
+            program=GOOD.replace("integer :: iy, ix", "integer :: iy, ix, zq"),
+            nranks=4,
+        )
+    )
     report = compare_runs(a, b)
     assert report.equivalent  # scalars don't participate; arrays match
 
@@ -87,15 +95,17 @@ end program plain
 
 
 def test_verify_transform_roundtrip():
-    eq, report = verify_transform(GOOD, 4, tile_size=4)
+    eq, report = verify_transform(
+        GOOD, 4, options=TransformOptions(tile_size=4)
+    )
     assert eq.equivalent
     assert report.sites[0].tile_size == 4
 
 
 def test_verify_transform_options_conflict_raises():
-    from repro.transform.options import TransformOptions
-
-    with pytest.raises(VerificationError, match="drop the legacy"):
+    # TransformOptions is the only spelling of the knobs: the retired
+    # tile_size= keyword no longer exists to conflict with it
+    with pytest.raises(TypeError, match="tile_size"):
         verify_transform(
             GOOD, 4, tile_size=4, options=TransformOptions(tile_size=2)
         )

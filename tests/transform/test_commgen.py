@@ -11,8 +11,7 @@ from repro.transform.commgen import (
     peer_to_expr,
     wait_previous_tile,
 )
-from repro.transform.names import SiteNames
-from repro.transform.naming import NamePool
+from repro.transform.names import NamePool, SiteNames
 
 
 def _names() -> SiteNames:

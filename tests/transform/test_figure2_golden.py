@@ -10,7 +10,7 @@ the final wait where the collective used to be.
 import textwrap
 
 from tests.programs import direct_1d
-from repro.transform import Compuniformer
+from repro.transform import TransformOptions, get_variant
 
 GOLDEN = textwrap.dedent(
     """\
@@ -52,16 +52,18 @@ GOLDEN = textwrap.dedent(
 
 
 def test_figure2_transformation_golden():
-    report = Compuniformer(tile_size=8).transform(
-        direct_1d(n=64, nprocs=8, steps=2)
+    report = get_variant("prepush").run(
+        direct_1d(n=64, nprocs=8, steps=2),
+        TransformOptions(tile_size=8),
     )
     assert report.transformed
     assert report.unparse() == GOLDEN
 
 
 def test_figure2_report_metadata():
-    report = Compuniformer(tile_size=8).transform(
-        direct_1d(n=64, nprocs=8, steps=2)
+    report = get_variant("prepush").run(
+        direct_1d(n=64, nprocs=8, steps=2),
+        TransformOptions(tile_size=8),
     )
     (site,) = report.sites
     assert site.kind.value == "direct"
@@ -78,11 +80,15 @@ def test_figure2_report_metadata():
 def test_figure2_transform_is_idempotent_input():
     """The input AST is not mutated: transforming twice gives equal output."""
     src = direct_1d(n=64, nprocs=8, steps=2)
-    a = Compuniformer(tile_size=8).transform(src).unparse()
-    b = Compuniformer(tile_size=8).transform(src).unparse()
+    prepush = get_variant("prepush")
+    a = prepush.run(src, TransformOptions(tile_size=8)).unparse()
+    b = prepush.run(src, TransformOptions(tile_size=8)).unparse()
     assert a == b
 
 
 def test_figure2_original_collective_removed():
-    report = Compuniformer(tile_size=8).transform(direct_1d())
+    report = get_variant("prepush").run(
+        direct_1d(),
+        TransformOptions(tile_size=8),
+    )
     assert "mpi_alltoall" not in report.unparse()

@@ -10,7 +10,7 @@ waited before the bank is reused.
 import textwrap
 
 from tests.programs import indirect_3d
-from repro.transform import Compuniformer
+from repro.transform import TransformOptions, get_variant
 
 GOLDEN = textwrap.dedent(
     """\
@@ -71,13 +71,19 @@ GOLDEN = textwrap.dedent(
 
 
 def test_figure3_transformation_golden(indirect_source):
-    report = Compuniformer(tile_size=2).transform(indirect_source)
+    report = get_variant("prepush").run(
+        indirect_source,
+        TransformOptions(tile_size=2),
+    )
     assert report.transformed
     assert report.unparse() == GOLDEN
 
 
 def test_figure3_report_metadata(indirect_source):
-    report = Compuniformer(tile_size=2).transform(indirect_source)
+    report = get_variant("prepush").run(
+        indirect_source,
+        TransformOptions(tile_size=2),
+    )
     (site,) = report.sites
     assert site.kind.value == "indirect"
     assert site.scheme == "slab"
@@ -90,7 +96,10 @@ def test_figure3_report_metadata(indirect_source):
 
 
 def test_figure3_structure(indirect_source):
-    report = Compuniformer(tile_size=2).transform(indirect_source)
+    report = get_variant("prepush").run(
+        indirect_source,
+        TransformOptions(tile_size=2),
+    )
     text = report.unparse()
     # copy loop removed: As is never assigned anymore
     assert "as(tx, ty, iy)" not in text

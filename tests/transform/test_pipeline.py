@@ -1,16 +1,24 @@
 """The composable pass pipeline and the variant registry (DESIGN.md §9).
 
 The load-bearing suite is the golden parity block: the registered
-``"prepush"`` pipeline must be **bit-identical** to the legacy
-monolithic :class:`~repro.transform.prepush.Compuniformer` on every
-configuration the figures use (figure1's indirect kernel plus the
-Ablation A–G workload/tile/interchange grid).  Text equality is the
-strongest possible form of that claim — the simulator is deterministic
-in the program text (DESIGN.md §3.2), so identical text implies
-identical virtual times and payloads; one simulated anchor test
-re-proves that implication end to end.
+``"prepush"`` pipeline must reproduce, **bit for bit**, what the
+paper's original monolithic transformer produced on every configuration the
+figures use (figure1's indirect kernel plus the Ablation A–G
+workload/tile/interchange grid).  That transformer is gone; its outputs are
+frozen in ``prepush_parity.json`` next to this file — per case the
+sha-256 of the unparsed program text and the rewritten sites, and for
+one simulated anchor the virtual time, the per-rank outputs and a
+digest of every final array.  Text equality is the strongest possible
+form of the claim — the simulator is deterministic in the program text
+(DESIGN.md §3.2), so identical text implies identical virtual times and
+payloads; the simulated anchor re-proves that implication end to end.
 """
 
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.apps import build_app
@@ -33,7 +41,6 @@ from repro.transform.pipeline import (
     variant_identity,
     variant_label,
 )
-from repro.transform.prepush import Compuniformer
 
 # every (app, geometry) the figure/ablation suite transforms: figure1's
 # indirect kernel plus the Ablation A-G rosters at their real sizes
@@ -64,53 +71,59 @@ def scratch_registry():
         _VARIANTS.pop(name, None)
 
 
-class TestGoldenParity:
-    """The pipeline's non-negotiable invariant: prepush == Compuniformer."""
+#: the frozen outputs of the original monolithic transformer (see the module
+#: docstring); keys name the cases below
+PARITY = json.loads(
+    Path(__file__).with_name("prepush_parity.json").read_text()
+)
 
-    @pytest.mark.parametrize(
-        "label,app_name,kwargs",
-        FIGURE_CONFIGS,
-        ids=[c[0] for c in FIGURE_CONFIGS],
-    )
-    def test_prepush_pipeline_matches_legacy_text(
-        self, label, app_name, kwargs
-    ):
-        app = build_app(app_name, **kwargs)
-        legacy = Compuniformer(oracle=app.oracle).transform(app.source)
-        piped = get_variant("prepush").run(app.source, oracle=app.oracle)
-        assert piped.unparse() == legacy.unparse()
-        assert [
-            (s.scheme, s.tile_size, s.trip, s.ntiles, s.leftover,
-             s.interchanged, tuple(s.notes))
-            for s in piped.sites
-        ] == [
-            (s.scheme, s.tile_size, s.trip, s.ntiles, s.leftover,
-             s.interchanged, tuple(s.notes))
-            for s in legacy.sites
+
+def site_tuples(report):
+    """Every recorded field of every rewritten site, JSON-shaped."""
+    return [
+        [
+            s.kind.value, s.send_array, s.recv_array, s.scheme,
+            s.tile_size, s.trip, s.ntiles, s.leftover, s.interchanged,
+            list(s.dead_arrays), list(s.notes),
         ]
+        for s in report.sites
+    ]
 
-    @pytest.mark.parametrize("tile", [1, 4, 8, 16, 32, 64, 128])
-    def test_ablation_a_tile_grid_matches_legacy(self, tile):
-        app = build_app("fft", n=128, steps=1, stages=6, nranks=8)
-        legacy = Compuniformer(tile_size=tile).transform(app.source)
-        piped = get_variant("prepush").run(
-            app.source, TransformOptions(tile_size=tile)
-        )
-        assert piped.unparse() == legacy.unparse()
 
-    def test_no_interchange_matches_legacy_never(self):
-        app = build_app("nodeloop", n=96, steps=1, stages=6, nranks=8)
-        legacy = Compuniformer(interchange="never").transform(app.source)
-        piped = get_variant("no-interchange").run(app.source)
-        assert piped.unparse() == legacy.unparse()
-        # options.interchange='never' on the full pipeline is the same
-        # knob through the other door
-        knob = get_variant("prepush").run(
-            app.source, TransformOptions(interchange="never")
-        )
-        assert knob.unparse() == legacy.unparse()
+def fingerprint(report):
+    """The frozen form of one transformation: text digest + sites."""
+    text = report.unparse().encode("utf-8")
+    return {
+        "sha256": hashlib.sha256(text).hexdigest(),
+        "sites": site_tuples(report),
+    }
 
-    TWO_SITE = """
+
+def array_digest(run):
+    """sha-256 over every rank's final arrays (name, dtype, shape and
+    bytes), in rank then name order."""
+    h = hashlib.sha256()
+    for rank, arrays in enumerate(run.arrays):
+        for name in sorted(arrays):
+            a = np.ascontiguousarray(arrays[name])
+            h.update(f"{rank}:{name}:{a.dtype.str}:{a.shape}\0".encode())
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def simulated(report, nranks):
+    """The frozen form of the simulated anchor."""
+    run = execute_job(
+        ClusterJob(program=report.unparse(), nranks=nranks, network=MPICH_GM)
+    )
+    return {
+        "time": run.time,
+        "outputs": [[list(rec) for rec in rank] for rank in run.outputs],
+        "arrays": array_digest(run),
+    }
+
+
+TWO_SITE = """
 program twosite
   integer, parameter :: n = 16, np = 4
   integer :: as(1:n, 1:n), ar(1:n, 1:n)
@@ -132,18 +145,7 @@ program twosite
 end program twosite
 """
 
-    @pytest.mark.parametrize("max_sites", [1, 2, None])
-    def test_max_sites_matches_legacy_on_two_site_program(self, max_sites):
-        """max_sites must cap EVERY pass: a site the planner will never
-        rewrite must not have its loop nest interchanged either."""
-        legacy = Compuniformer(max_sites=max_sites).transform(self.TWO_SITE)
-        piped = get_variant("prepush").run(
-            self.TWO_SITE, TransformOptions(max_sites=max_sites)
-        )
-        assert piped.unparse() == legacy.unparse()
-        assert len(piped.sites) == len(legacy.sites)
-
-    TWO_KINDS = """
+TWO_KINDS = """
 program twokinds
   integer, parameter :: n = 16, m = 4, np = 4
   integer :: as(1:m), ar(1:m)
@@ -163,18 +165,63 @@ program twokinds
 end program twokinds
 """
 
+#: the app of the simulated anchor
+ANCHOR = ("indirect", {"n": 8, "stages": 2, "nranks": 4})
+
+
+class TestGoldenParity:
+    """The pipeline's non-negotiable invariant: prepush reproduces the
+    frozen outputs of the original transformer."""
+
+    @pytest.mark.parametrize(
+        "label,app_name,kwargs",
+        FIGURE_CONFIGS,
+        ids=[c[0] for c in FIGURE_CONFIGS],
+    )
+    def test_prepush_pipeline_matches_legacy_text(
+        self, label, app_name, kwargs
+    ):
+        app = build_app(app_name, **kwargs)
+        piped = get_variant("prepush").run(app.source, oracle=app.oracle)
+        assert fingerprint(piped) == PARITY["figure"][label]
+
+    @pytest.mark.parametrize("tile", [1, 4, 8, 16, 32, 64, 128])
+    def test_ablation_a_tile_grid_matches_legacy(self, tile):
+        app = build_app("fft", n=128, steps=1, stages=6, nranks=8)
+        piped = get_variant("prepush").run(
+            app.source, TransformOptions(tile_size=tile)
+        )
+        assert fingerprint(piped) == PARITY["tile_grid"][str(tile)]
+
+    def test_no_interchange_matches_legacy_never(self):
+        app = build_app("nodeloop", n=96, steps=1, stages=6, nranks=8)
+        piped = get_variant("no-interchange").run(app.source)
+        assert fingerprint(piped) == PARITY["no_interchange"]
+        # options.interchange='never' on the full pipeline is the same
+        # knob through the other door
+        knob = get_variant("prepush").run(
+            app.source, TransformOptions(interchange="never")
+        )
+        assert fingerprint(knob) == PARITY["no_interchange"]
+
+    @pytest.mark.parametrize("max_sites", [1, 2, None])
+    def test_max_sites_matches_legacy_on_two_site_program(self, max_sites):
+        """max_sites must cap EVERY pass: a site the planner will never
+        rewrite must not have its loop nest interchanged either."""
+        piped = get_variant("prepush").run(
+            TWO_SITE, TransformOptions(max_sites=max_sites)
+        )
+        assert fingerprint(piped) == PARITY["max_sites"][str(max_sites)]
+
     def test_max_sites_budget_skips_rejected_sites_like_legacy(self):
         """A site the planner rejects (K exceeds its trip) must not
         consume the interchange budget: the cap counts accepted sites,
-        exactly as the monolithic driver's loop does."""
-        legacy = Compuniformer(tile_size=8, max_sites=1).transform(
-            self.TWO_KINDS
-        )
+        exactly as the original transformer's loop did."""
         piped = get_variant("prepush").run(
-            self.TWO_KINDS,
+            TWO_KINDS,
             TransformOptions(tile_size=8, max_sites=1),
         )
-        assert piped.unparse() == legacy.unparse()
+        assert fingerprint(piped) == PARITY["max_sites_budget"]
         # the first site was rejected, the second interchanged+rewritten
         assert len(piped.sites) == 1
         assert piped.sites[0].send_array == "bs"
@@ -183,40 +230,26 @@ end program twokinds
     def test_custom_alltoall_names_reach_every_pass(self):
         """applicable() must screen with the run's alltoall_names, not
         the defaults — otherwise a renamed collective silently no-ops
-        where the legacy Compuniformer transforms."""
-        src = self.TWO_SITE.replace("mpi_alltoall", "my_exch")
-        legacy = Compuniformer(alltoall_names=("my_exch",)).transform(src)
+        where the original transformer rewrote it."""
+        src = TWO_SITE.replace("mpi_alltoall", "my_exch")
         piped = get_variant("prepush").run(
             src, alltoall_names=("my_exch",)
         )
-        assert legacy.transformed and piped.transformed
-        assert piped.unparse() == legacy.unparse()
+        assert piped.transformed
+        assert fingerprint(piped) == PARITY["custom_alltoall_names"]
 
     def test_simulated_times_and_payloads_identical(self):
         """The end-to-end anchor: identical text -> identical virtual
         times, per-rank outputs, and final array payloads."""
-        app = build_app("indirect", n=8, stages=2, nranks=4)
-        legacy = Compuniformer().transform(app.source)
+        app_name, kwargs = ANCHOR
+        app = build_app(app_name, **kwargs)
         piped = get_variant("prepush").run(app.source)
-        runs = [
-            execute_job(
-                ClusterJob(
-                    program=rep.unparse(),
-                    nranks=app.nranks,
-                    network=MPICH_GM,
-                )
-            )
-            for rep in (legacy, piped)
-        ]
-        assert runs[0].time == runs[1].time  # bit-identical, no approx
-        assert runs[0].outputs == runs[1].outputs
-        for rank in range(app.nranks):
-            for name in runs[0].arrays[rank]:
-                assert (
-                    runs[0].arrays[rank][name]
-                    == runs[1].arrays[rank][name]
-                ).all()
-
+        frozen = PARITY["simulated_anchor"]
+        assert fingerprint(piped) == frozen["transform"]
+        got = simulated(piped, app.nranks)
+        assert got["time"] == frozen["time"]  # bit-identical, no approx
+        assert got["outputs"] == frozen["outputs"]
+        assert got["arrays"] == frozen["arrays"]
 
 class TestBuiltinVariants:
     def test_at_least_five_variants_registered(self):
