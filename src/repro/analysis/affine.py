@@ -13,7 +13,7 @@ callers treat that as "analyze conservatively".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from ..errors import NotAffineError

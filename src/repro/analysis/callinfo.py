@@ -20,8 +20,8 @@ needed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Set
 
 from ..lang.ast_nodes import (
     ArrayRef,

@@ -24,11 +24,11 @@ Non-affine subscripts or non-unit steps make the test conservative
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import NotAffineError
-from ..lang.ast_nodes import ArrayRef, Assign, DoLoop, Expr, Stmt
+from ..lang.ast_nodes import ArrayRef, Assign, DoLoop, Stmt
 from .affine import Affine, to_affine
 from .omega import Constraint, Feasibility, is_feasible
 

@@ -7,7 +7,7 @@ with incremental bindings.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..errors import AnalysisError
 from ..lang.ast_nodes import TypeDecl, Unit

@@ -38,7 +38,6 @@ from ..lang.ast_nodes import (
     Assign,
     CallStmt,
     DoLoop,
-    Print,
     SourceFile,
     Stmt,
     Unit,

@@ -15,10 +15,10 @@ parameters and on the tile-bound variables the caller supplies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import AnalysisError, NotAffineError
-from ..lang.ast_nodes import ArrayRef, DimSpec, Expr
+from ..lang.ast_nodes import ArrayRef, DimSpec
 from .affine import Affine, to_affine
 from .deps import LoopSpec
 

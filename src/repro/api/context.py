@@ -20,7 +20,7 @@ still be passed explicitly to force the registry defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, Union
 

@@ -50,7 +50,7 @@ from ..interp.runner import (
 )
 from ..errors import ReproError
 from ..lang.ast_nodes import SourceFile
-from ..runtime.collectives import CollectiveSpec, resolve_suite
+from ..runtime.collectives import resolve_suite
 from ..runtime.costmodel import CostModel
 from ..runtime.network import NetworkModel, resolve_model
 from ..transform.options import TransformOptions
@@ -193,12 +193,6 @@ class Session:
             self._executor = executor
         return self._executor
 
-    def _processes(self) -> Optional[int]:
-        """The ``processes=`` fallback for :func:`run_many`: ``None``
-        once the pool is retired, so batches go straight to the serial
-        path instead of rebuilding a throwaway pool per call."""
-        return None if self._executor_failed else self.jobs
-
     def close(self) -> None:
         """Release the process pool (idempotent; the session remains
         usable — a later pooled call simply recreates the pool)."""
@@ -311,11 +305,8 @@ class Session:
 
     def run_many(self, jobs: Sequence[Job]) -> RunBatch:
         """Simulate independent jobs, sharded over the session pool."""
-        executor = self.pool()
         return run_many(
-            [self.cluster_job(j) for j in jobs],
-            processes=self._processes(),
-            executor=executor,
+            [self.cluster_job(j) for j in jobs], executor=self.pool()
         )
 
     def measure(self, job: Job) -> Measurement:
@@ -428,12 +419,10 @@ class Session:
         Specs that leave ``engine_mode`` unset (``None``) inherit the
         session's; a spec naming its own mode keeps it.  Either way the
         cache keys are unaffected (all modes are bit-identical)."""
-        executor = self.pool()
         return _execute_sweep(
             self._bind_specs(specs),
-            jobs=self._processes(),
             cache=self.cache,
-            executor=executor,
+            executor=self.pool(),
             memo=self._transforms,
         )
 

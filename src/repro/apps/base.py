@@ -18,7 +18,7 @@ equivalence is exact (no floating-point tolerance games).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..analysis.callinfo import Oracle
 from ..errors import ReproError

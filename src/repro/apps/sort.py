@@ -12,7 +12,7 @@ column per rank, exercising scheme A with single-plane partitions.
 
 from __future__ import annotations
 
-from .base import AppSpec, mix_stages, require_divisible, stage_decls
+from .base import AppSpec, mix_stages, stage_decls
 
 
 def sample_sort_exchange(

@@ -152,18 +152,6 @@ _BENCHES = {
     "variants": ablation_variants,
 }
 
-#: benches that accept a ``network=`` keyword (the others sweep their own)
-_BENCHES_WITH_NETWORK = {"tile_size", "scaling", "workloads", "nodeloop"}
-
-#: benches that accept a ``collective=`` keyword ("collectives" sweeps
-#: every registered algorithm itself)
-_BENCHES_WITH_COLLECTIVE = {"tile_size", "scaling", "workloads", "nodeloop"}
-
-#: benches whose treatment arm is selectable via ``--variant``
-#: (for "variants" the flag restricts the swept axis instead)
-_BENCHES_WITH_VARIANT = {"tile_size", "scaling", "workloads", "nodeloop"}
-
-
 def _read_source(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -892,18 +880,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             jobs=args.processes, engine_mode=args.engine_mode
         ) as session:
             for name in names:
-                kwargs = {}
-                if args.network and name in _BENCHES_WITH_NETWORK:
-                    kwargs["network"] = args.network
-                if args.network and name in ("collectives", "variants"):
-                    kwargs["networks"] = (args.network,)
-                if args.collective and name in _BENCHES_WITH_COLLECTIVE:
-                    kwargs["collective"] = args.collective
-                if args.variant and name in _BENCHES_WITH_VARIANT:
-                    kwargs["variant"] = args.variant
-                if args.variant and name == "variants":
-                    kwargs["variants"] = (args.variant,)
-                print(_BENCHES[name](session=session, **kwargs).render())
+                fn = _BENCHES[name]
+                print(fn(session=session, **_bench_kwargs(fn, args)).render())
                 print()
         return 0
 
@@ -1021,6 +999,26 @@ def _check_figure_flags(
             f"{', '.join(rejected)} only apply to custom sweeps "
             "(--app/--spec); figure targets define their own axes"
         )
+
+
+def _bench_kwargs(fn, args: argparse.Namespace) -> dict:
+    """Forward ``bench``'s --network/--collective/--variant flags to the
+    keywords ``fn`` accepts: a figure that sweeps its own networks or
+    variants takes the flag as a one-element axis, and one that takes
+    none of them ignores it."""
+    accepted = inspect.signature(fn).parameters
+    candidates = {
+        "network": args.network,
+        "networks": (args.network,) if args.network else None,
+        "collective": args.collective,
+        "variant": args.variant,
+        "variants": (args.variant,) if args.variant else None,
+    }
+    return {
+        key: value
+        for key, value in candidates.items()
+        if value is not None and key in accepted
+    }
 
 
 def _figure_kwargs(fn, args: argparse.Namespace, strict: bool) -> dict:

@@ -7,14 +7,13 @@ two studies of its own design discussions: workload generality (§2's
 example algorithms) and the node-loop interchange (§3.5).
 
 Every function is a thin :class:`~repro.harness.sweep.SweepSpec`
-constructor over the shared sweep engine (:mod:`repro.harness.sweep`):
-it names the axes, lets the engine expand, deduplicate, cache, and
-(optionally) shard the simulations, then folds the measurements into a
-:class:`~repro.harness.report.Table`.  Pass ``session=`` (a
-:class:`repro.api.Session`) to run through the façade's cache and
-persistent pool; the legacy ``cache``/``jobs`` keywords drive a
-one-shot engine invocation instead and are mutually exclusive with
-``session``.  A warm cache regenerates every table below
+constructor run through one :meth:`repro.api.Session.sweep` call: it
+names the axes, lets the session expand, deduplicate, cache and shard
+the simulations over its pool, then folds the measurements into a
+:class:`~repro.harness.report.Table`.  Pass ``session=`` to reuse a
+session's cache, transform memo and persistent pool; without one the
+function runs in a fresh ``Session()`` (serial, uncached) that it
+closes afterwards.  A warm cache regenerates every table below
 bit-identically with zero simulations (DESIGN.md §7).
 
 Every function returns a :class:`~repro.harness.report.Table`; the
@@ -24,7 +23,7 @@ roughly by how much) rather than absolute virtual times.
 
 from __future__ import annotations
 
-from pathlib import Path
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ReproError
@@ -43,7 +42,7 @@ from ..runtime.network import (
 )
 from ..transform.pipeline import Pipeline, list_variants, variant_label
 from .report import Table
-from .sweep import SweepCache, SweepSpec, _execute_sweep, collective_label
+from .sweep import SweepSpec, collective_label
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..api.session import Session
@@ -61,7 +60,6 @@ __all__ = [
 ]
 
 NetworkLike = Union[str, NetworkModel]
-CacheLike = Union[None, str, Path, SweepCache]
 VariantLike = Union[str, Pipeline]
 
 
@@ -80,30 +78,17 @@ def _treatment_variant(variant: VariantLike) -> str:
     return label
 
 
-def _sweep(
-    specs,
-    *,
-    session: "Optional[Session]",
-    cache: CacheLike,
-    jobs: Optional[int],
-):
-    """Run specs through a Session façade or a one-shot engine call.
-
-    ``session`` and the legacy ``cache``/``jobs`` knobs are mutually
-    exclusive: a session already owns its cache and pool, and silently
-    preferring one source of configuration over the other would run a
-    different sweep than the caller asked for.
-    """
+@contextmanager
+def _session(session: "Optional[Session]"):
+    """``session`` itself, or a fresh ``Session()`` (serial, uncached)
+    closed when the figure is done."""
     if session is not None:
-        if cache is not None or jobs is not None:
-            raise ReproError(
-                "session= already carries the engine configuration; "
-                "drop the cache=/jobs= (or legacy processes=) arguments "
-                "and construct the Session with "
-                "Session(cache_dir=..., jobs=...)"
-            )
-        return session.sweep(specs)
-    return _execute_sweep(specs, cache=cache, jobs=jobs)
+        yield session
+        return
+    from ..api.session import Session
+
+    with Session() as fresh:
+        yield fresh
 
 
 def _speedup(original: float, prepush: float) -> float:
@@ -123,8 +108,6 @@ def figure1(
     cpu_scale: float = 8.0,
     verify: bool = True,
     variant: VariantLike = "prepush",
-    cache: CacheLike = None,
-    jobs: Optional[int] = None,
     session: "Optional[Session]" = None,
 ) -> Table:
     """Paper Figure 1: normalized execution time, Original vs Prepush,
@@ -158,7 +141,8 @@ def figure1(
         cpu_scales=(cpu_scale,),
         verify=verify,
     )
-    res = _sweep(spec, session=session, cache=cache, jobs=jobs)
+    with _session(session) as session:
+        res = session.sweep(spec)
 
     times = [r.measurement.time for r in res.runs]
     floor = min(times)
@@ -207,8 +191,6 @@ def ablation_tile_size(
     verify: bool = True,
     collective: CollectiveSpec = None,
     variant: VariantLike = "prepush",
-    cache: CacheLike = None,
-    jobs: Optional[int] = None,
     session: "Optional[Session]" = None,
 ) -> Table:
     """Ablation A: the U-shaped tile-size trade-off (deferred to [3]).
@@ -247,7 +229,8 @@ def ablation_tile_size(
     specs = [spec_for(ks[:1], "first", verify)]
     if ks[1:]:
         specs.append(spec_for(ks[1:], "rest", False))
-    res = _sweep(specs, session=session, cache=cache, jobs=jobs)
+    with _session(session) as session:
+        res = session.sweep(specs)
 
     table = Table(
         title=f"Ablation A — tile size sweep (fft n={n}, NP={nranks}, "
@@ -279,8 +262,6 @@ def ablation_scaling(
     verify: bool = True,
     collective: CollectiveSpec = None,
     variant: VariantLike = "prepush",
-    cache: CacheLike = None,
-    jobs: Optional[int] = None,
     session: "Optional[Session]" = None,
 ) -> Table:
     """Ablation B: cluster-size scaling of the prepush benefit."""
@@ -296,7 +277,8 @@ def ablation_scaling(
         collectives=(collective,),
         verify=verify,
     )
-    res = _sweep(spec, session=session, cache=cache, jobs=jobs)
+    with _session(session) as session:
+        res = session.sweep(spec)
     table = Table(
         title=f"Ablation B — cluster size sweep (fft n={n}, {network.name})",
         columns=["NP", "time_original_s", f"time_{vname}_s", "speedup"],
@@ -335,8 +317,6 @@ def ablation_network(
     steps: int = 1,
     stages: int = 6,
     verify: bool = True,
-    cache: CacheLike = None,
-    jobs: Optional[int] = None,
     session: "Optional[Session]" = None,
 ) -> Table:
     """Ablation C: which network properties the benefit depends on.
@@ -356,7 +336,8 @@ def ablation_network(
         networks=tuple(model for _, model in variants),
         verify=verify,
     )
-    res = _sweep(spec, session=session, cache=cache, jobs=jobs)
+    with _session(session) as session:
+        res = session.sweep(spec)
     table = Table(
         title=f"Ablation C — network parameter sweep (fft n={n}, NP={nranks})",
         columns=[
@@ -401,8 +382,6 @@ def ablation_workloads(
     verify: bool = True,
     collective: CollectiveSpec = None,
     variant: VariantLike = "prepush",
-    cache: CacheLike = None,
-    jobs: Optional[int] = None,
     session: "Optional[Session]" = None,
 ) -> Table:
     """Ablation D: prepush across §2's example workload classes.
@@ -433,7 +412,8 @@ def ablation_workloads(
                 verify=verify,
             )
         )
-    res = _sweep(specs, session=session, cache=cache, jobs=jobs)
+    with _session(session) as session:
+        res = session.sweep(specs)
     table = Table(
         title=f"Ablation D — workload generality (NP={nranks}, {network.name})",
         columns=[
@@ -477,8 +457,6 @@ def ablation_nodeloop(
     verify: bool = True,
     collective: CollectiveSpec = None,
     variant: VariantLike = "prepush",
-    cache: CacheLike = None,
-    jobs: Optional[int] = None,
     session: "Optional[Session]" = None,
 ) -> Table:
     """Ablation E: the cost of a congested node loop (§3.5).
@@ -503,7 +481,8 @@ def ablation_nodeloop(
         cpu_scales=(cpu_scale,),
         verify=verify,
     )
-    res = _sweep(spec, session=session, cache=cache, jobs=jobs)
+    with _session(session) as session:
+        res = session.sweep(spec)
     table = Table(
         title=(
             f"Ablation E — node-loop position (nodeloop n={n}, "
@@ -546,9 +525,6 @@ def ablation_scenarios(
     stages: int = 6,
     cpu_scale: float = 4.0,
     verify: bool = True,
-    processes: Optional[int] = None,
-    cache: CacheLike = None,
-    jobs: Optional[int] = None,
     session: "Optional[Session]" = None,
 ) -> Table:
     """Ablation F: the prepush benefit across every registered scenario.
@@ -560,10 +536,9 @@ def ablation_scenarios(
     study.  ``names=None`` selects every registered model except
     ``ideal`` (which only isolates compute), deduplicating aliases.
 
-    ``jobs`` (or the legacy alias ``processes``) > 1 shards the
-    per-scenario simulations over a process pool via
-    :func:`~repro.interp.runner.run_many` (the sweep is embarrassingly
-    parallel; results are identical either way).
+    A ``session`` built with ``jobs`` > 1 shards the per-scenario
+    simulations over its pool (the sweep is embarrassingly parallel;
+    results are identical either way).
     """
     if names is None:
         seen: set = set()
@@ -587,7 +562,8 @@ def ablation_scenarios(
         cpu_scales=(cpu_scale,),
         verify=verify,
     )
-    res = _sweep(spec, session=session, cache=cache, jobs=jobs or processes)
+    with _session(session) as session:
+        res = session.sweep(spec)
     table = Table(
         title=f"Ablation F — scenario registry sweep (fft n={n}, NP={nranks})",
         columns=[
@@ -631,8 +607,6 @@ def ablation_collectives(
     steps: int = 2,
     stages: int = 4,
     cpu_scale: float = 4.0,
-    cache: CacheLike = None,
-    jobs: Optional[int] = None,
     session: "Optional[Session]" = None,
 ) -> Table:
     """Ablation G: the collective-algorithm axis (algorithm x network x
@@ -670,7 +644,8 @@ def ablation_collectives(
                 verify=False,
             )
         )
-    res = _sweep(specs, session=session, cache=cache, jobs=jobs)
+    with _session(session) as session:
+        res = session.sweep(specs)
     table = Table(
         title=(
             f"Ablation G — collective algorithm sweep (NP={nranks}, "
@@ -720,14 +695,14 @@ _VARIANT_ROSTER: Tuple[Tuple[str, dict], ...] = (
 )
 
 
-def _preflight_variants(names, labels, *, sizes, nranks, dropped, memo=None):
+def _preflight_variants(names, labels, *, sizes, nranks, dropped, memo):
     """Filter auto-joined variants down to those every roster workload
     survives (transform-only; no simulation).  Incompatible variants
     land in ``dropped`` as ``label: reason`` strings.
 
-    With ``memo`` (a session's transform memo), each transformation
-    runs through it with the options the sweep's expansion uses, so the
-    sweep that follows finds every surviving transformation done."""
+    Each transformation runs through ``memo`` (the session's transform
+    memo) with the options the sweep's expansion uses, so the sweep
+    that follows finds every surviving transformation done."""
     from ..apps import build_app
     from ..transform.options import TransformOptions
     from ..transform.pipeline import resolve_variant
@@ -748,11 +723,6 @@ def _preflight_variants(names, labels, *, sizes, nranks, dropped, memo=None):
                     if app_name in sizes:
                         kwargs["n"] = sizes[app_name]
                     app = build_app(app_name, nranks=nranks, **kwargs)
-                    if memo is None:
-                        PreparedApp(
-                            app, variant=pipeline, verify=False, snapshots=False
-                        )
-                        continue
                     report, _ = _transform(app, pipeline, options, memo)
                     PreparedApp(
                         app,
@@ -777,8 +747,6 @@ def ablation_variants(
     cpu_scale: float = 4.0,
     verify: bool = True,
     sizes: Optional[dict] = None,
-    cache: CacheLike = None,
-    jobs: Optional[int] = None,
     session: "Optional[Session]" = None,
 ) -> Table:
     """Ablation H: the transformation-variant axis (variant × network ×
@@ -807,38 +775,39 @@ def ablation_variants(
     models = [resolve_model(net) for net in networks]
     sizes = sizes or {}
     dropped: List[str] = []
-    if auto_roster:
-        # auto-joined variants are best effort: a runtime-registered
-        # full-rewrite pipeline that cannot transform one roster
-        # workload must not abort the whole table.  Pre-flight each
-        # variant (transform only — cheap) and drop the incompatible
-        # ones with a note; explicitly-requested variants still raise.
-        names, labels = _preflight_variants(
-            names,
-            labels,
-            sizes=sizes,
-            nranks=nranks,
-            dropped=dropped,
-            memo=session._transforms if session is not None else None,
-        )
-    specs = []
-    for app_name, kwargs in _VARIANT_ROSTER:
-        kwargs = dict(kwargs)
-        if app_name in sizes:
-            kwargs["n"] = sizes[app_name]
-        specs.append(
-            SweepSpec(
-                name=f"variants-{app_name}",
-                app=app_name,
-                app_kwargs=kwargs,
-                nranks=(nranks,),
-                variants=tuple(names),
-                networks=tuple(models),
-                cpu_scales=(cpu_scale,),
-                verify=verify,
+    with _session(session) as session:
+        if auto_roster:
+            # auto-joined variants are best effort: a runtime-registered
+            # full-rewrite pipeline that cannot transform one roster
+            # workload must not abort the whole table.  Pre-flight each
+            # variant (transform only — cheap) and drop the incompatible
+            # ones with a note; explicitly-requested variants still raise.
+            names, labels = _preflight_variants(
+                names,
+                labels,
+                sizes=sizes,
+                nranks=nranks,
+                dropped=dropped,
+                memo=session._transforms,
             )
-        )
-    res = _sweep(specs, session=session, cache=cache, jobs=jobs)
+        specs = []
+        for app_name, kwargs in _VARIANT_ROSTER:
+            kwargs = dict(kwargs)
+            if app_name in sizes:
+                kwargs["n"] = sizes[app_name]
+            specs.append(
+                SweepSpec(
+                    name=f"variants-{app_name}",
+                    app=app_name,
+                    app_kwargs=kwargs,
+                    nranks=(nranks,),
+                    variants=tuple(names),
+                    networks=tuple(models),
+                    cpu_scales=(cpu_scale,),
+                    verify=verify,
+                )
+            )
+        res = session.sweep(specs)
     table = Table(
         title=(
             f"Ablation H — transformation variant sweep (NP={nranks}, "

@@ -9,7 +9,7 @@ produces the aligned ASCII table the CLI and benchmarks print.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 from ..errors import ReproError
 

@@ -1266,7 +1266,6 @@ def plan_sweep(
 def _execute_sweep(
     specs: Union[SweepSpec, Sequence[SweepSpec]],
     *,
-    jobs: Optional[int] = None,
     cache: Union[None, str, Path, SweepCache] = None,
     executor=None,
     memo: Optional[_TransformMemo] = None,
@@ -1274,11 +1273,10 @@ def _execute_sweep(
     """Execute one or more sweep specs: plan, one ``run_many`` batch,
     fold.
 
-    ``jobs`` > 1 shards the simulations over a
-    :func:`~repro.interp.runner.run_many` process pool (verification
-    runs ride in the same batch); a live ``executor`` (a
-    :class:`repro.api.Session`'s persistent pool) takes precedence and
-    is left running afterwards.  ``cache`` (a directory path or a
+    A live ``executor`` (a :class:`repro.api.Session`'s persistent
+    pool) shards the simulations, verification runs riding in the same
+    batch, and is left running afterwards; without one the batch runs
+    serially.  ``cache`` (a directory path or a
     :class:`SweepCache`) serves previously-simulated points without
     re-simulating; ``None`` disables caching entirely.  Points whose
     fingerprints coincide are simulated once per batch regardless of
@@ -1290,7 +1288,7 @@ def _execute_sweep(
     plan = plan_sweep(specs, cache, memo)
     batch = plan.jobs()
     if batch:
-        runs = run_many(batch, processes=jobs, executor=executor)
+        runs = run_many(batch, executor=executor)
         plan.stats.mode = runs.mode
         plan.stats.processes = runs.processes
         plan.fold(runs)

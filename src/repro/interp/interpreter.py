@@ -90,7 +90,6 @@ from ..lang.ast_nodes import (
     ImplicitNone,
     IntLit,
     Print,
-    Program,
     RealLit,
     Return,
     Slice,

@@ -15,7 +15,7 @@ the interpreter's per-statement model does not apply).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional, Sequence, Set, Union
+from typing import Callable, Dict, Optional, Sequence, Set, Union
 
 import numpy as np
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -45,7 +45,6 @@ from . import symmetry
 from .compiler import StmtCompiler
 from .interpreter import Interpreter
 from .procedures import ExternalRegistry
-from .values import FArray
 
 
 @dataclass
@@ -343,25 +342,16 @@ class RunBatch(List[ClusterRun]):
         self.processes = processes
 
 
-def run_many(
-    jobs: Sequence[ClusterJob],
-    *,
-    processes: Optional[int] = None,
-    executor=None,
-) -> RunBatch:
+def run_many(jobs: Sequence[ClusterJob], *, executor=None) -> RunBatch:
     """Run independent simulations, optionally on a process pool.
 
-    ``processes=None`` (or < 2, or a single job, or unpicklable jobs)
-    runs serially in submission order.  Otherwise up to ``processes``
-    workers execute the batch; results come back in submission order, so
-    output is identical either way — sweeps are deterministic per job.
+    ``executor`` (a live :class:`concurrent.futures.Executor`, in
+    practice a :class:`repro.api.Session`'s persistent pool) runs the
+    batch and is **not** shut down afterwards.  Without one (or for a
+    single job, or unpicklable jobs) the batch runs serially in
+    submission order.  Results come back in submission order either
+    way, so output is identical — sweeps are deterministic per job.
     The returned :class:`RunBatch` says which path executed and why.
-
-    ``executor`` (a live :class:`concurrent.futures.Executor`) takes
-    precedence over ``processes``: the batch is mapped onto it and the
-    executor is **not** shut down afterwards — this is how a
-    :class:`repro.api.Session` amortizes one persistent pool across
-    many batches.
     """
     jobs = list(jobs)
 
@@ -370,7 +360,7 @@ def run_many(
             [execute_job(j) for j in jobs], mode="serial", reason=reason
         )
 
-    if executor is None and (processes is None or processes < 2):
+    if executor is None:
         return serial("no pool requested")
     if len(jobs) < 2:
         return serial("batch too small to shard")
@@ -381,31 +371,14 @@ def run_many(
     if not _poolable(shipped):
         return serial("jobs not picklable (externals?)")
 
-    if executor is not None:
-        workers = getattr(executor, "_max_workers", None) or 1
-        try:
-            return RunBatch(
-                executor.map(execute_job, shipped),
-                mode="pool",
-                processes=min(workers, len(jobs)),
-            )
-        except (OSError, RuntimeError) as exc:
-            # a broken persistent pool degrades this batch to serial;
-            # the owner decides whether to rebuild or keep degrading
-            return RunBatch(
-                [execute_job(j) for j in jobs],
-                mode="serial",
-                reason=f"process pool unavailable ({exc.__class__.__name__})",
-            )
-
-    from concurrent.futures import ProcessPoolExecutor
-
-    workers = min(processes, len(jobs))
+    workers = getattr(executor, "_max_workers", None) or 1
     try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return RunBatch(
-                pool.map(execute_job, shipped), mode="pool", processes=workers
-            )
+        return RunBatch(
+            executor.map(execute_job, shipped),
+            mode="pool",
+            processes=min(workers, len(jobs)),
+        )
     except (OSError, RuntimeError) as exc:
-        # sandboxes without working multiprocessing fall back to serial
+        # a broken persistent pool degrades this batch to serial; the
+        # owner decides whether to rebuild or keep degrading
         return serial(f"process pool unavailable ({exc.__class__.__name__})")

@@ -17,7 +17,6 @@ from .ast_nodes import (
     EntityDecl,
     Expr,
     ExternalDecl,
-    Program,
     SourceFile,
     Subroutine,
     TypeDecl,

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping
 
 from ..errors import OverloadError, RequestError, ServeError
 

@@ -23,11 +23,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import TransformError
-from ..analysis.affine import Affine, try_affine
+from ..analysis.affine import try_affine
 from ..analysis.deps import collect_write_refs
 from ..analysis.patterns import Opportunity
 from ..lang import builder as b
-from ..lang.ast_nodes import ArrayRef, DoLoop, Expr, IntLit, Slice, Stmt
+from ..lang.ast_nodes import ArrayRef, Expr, IntLit, Slice, Stmt
 from .commgen import (
     _ordinal_expr,
     _replace_call,

@@ -32,10 +32,10 @@ per C execution, so SPMD lockstep pairs messages deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List
 
 from ..errors import TransformError
-from ..analysis.affine import Affine, try_affine
+from ..analysis.affine import try_affine
 from ..analysis.patterns import Opportunity
 from ..lang import builder as b
 from ..lang.ast_nodes import (

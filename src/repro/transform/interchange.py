@@ -21,20 +21,12 @@ same innermost body, which is checked here.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..errors import InterchangeError
-from ..lang.ast_nodes import (
-    ArrayRef,
-    Assign,
-    CallStmt,
-    DoLoop,
-    Expr,
-    Stmt,
-    VarRef,
-)
+from ..lang.ast_nodes import ArrayRef, Assign, CallStmt, DoLoop, Stmt, VarRef
 from ..lang.visitor import walk
-from ..analysis.deps import LoopSpec, all_dependence_directions
+from ..analysis.deps import all_dependence_directions
 from ..analysis.loops import NestInfo
 from ..analysis.patterns import Opportunity
 from .direct import DirectPlan

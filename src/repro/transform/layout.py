@@ -12,10 +12,10 @@ known.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..errors import TransformError
-from ..analysis.affine import to_affine, try_affine
+from ..analysis.affine import try_affine
 from ..analysis.patterns import Opportunity
 
 

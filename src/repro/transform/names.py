@@ -42,9 +42,6 @@ class NamePool:
         self.used.add(name)
         return name
 
-    def reserve(self, name: str) -> None:
-        self.used.add(name)
-
 
 @dataclass
 class SiteNames:

@@ -15,7 +15,6 @@ Fortran DO semantics.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Tuple, Union
 

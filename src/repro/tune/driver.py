@@ -21,7 +21,7 @@ trajectory JSONL over a warm cache, and identical
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
 from ..errors import TuneError
 from ..harness.sweep import SweepResult, SweepRun, SweepSpec

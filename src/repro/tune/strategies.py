@@ -31,8 +31,8 @@ the replay engine makes affordable).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Protocol, Sequence
 
 from ..errors import TuneError
 from .space import Candidate, SearchSpace

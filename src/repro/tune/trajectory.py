@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, IO, Iterable, List, Mapping, Optional, Union
+from typing import Any, Dict, IO, List, Mapping, Optional, Union
 
 import hashlib
 

@@ -192,7 +192,7 @@ class TestSweepAmortization:
         assert pool_after_first is pool_after_second
 
     def test_sweep_matches_legacy_engine(self, tmp_path):
-        legacy = _execute_sweep(small_spec(), cache=None, jobs=None)
+        legacy = _execute_sweep(small_spec())
         with Session() as s:
             via_session = s.sweep(small_spec())
         assert [r.measurement.to_dict() for r in via_session.runs] == [
@@ -215,18 +215,6 @@ class TestSweepAmortization:
         assert s.cache.stats.hits > 0
         assert s.cache.stats.misses == s.cache.stats.stores
 
-    def test_session_kwarg_excludes_legacy_cache_jobs(self, tmp_path):
-        with Session() as s:
-            with pytest.raises(ReproError):
-                figure1(
-                    n=16,
-                    nranks=NRANKS,
-                    stages=2,
-                    verify=False,
-                    session=s,
-                    cache=tmp_path,
-                )
-
     def test_broken_pool_is_retired_not_resubmitted(self):
         """A pool whose workers die mid-session must be retired: later
         calls may not keep submitting to the dead executor."""
@@ -237,7 +225,7 @@ class TestSweepAmortization:
         pool._broken = "simulated worker death"
         assert s.pool() is None
         assert s._executor_failed
-        # the session stays usable (serial or ephemeral-pool fallback)
+        # the session stays usable: later batches run serially
         batch = s.run_many(
             [Job(program=direct_2d(), nranks=NRANKS) for _ in range(2)]
         )

@@ -8,6 +8,7 @@ import pytest
 from repro.api import CompareRequest, Job, Session
 from repro.apps import build_app
 from repro.errors import ReproError
+from repro.harness import figures
 from repro.harness.figures import (
     ablation_collectives,
     ablation_network,
@@ -243,3 +244,63 @@ class TestFigureFunctionsMiniature:
             }[c]
         ]
         assert all(v == pytest.approx(1.0) for v in defaults)
+
+
+_TINY = dict(n=8, nranks=4, steps=1, stages=2, verify=False)
+#: every figure generator at a miniature size
+_FIGURE_KWARGS = {
+    "figure1": dict(n=8, nranks=4, stages=2, verify=False),
+    "ablation_tile_size": dict(ks=[1, 4], **_TINY),
+    "ablation_scaling": dict(
+        nranks_list=(2, 4), n=8, steps=1, stages=2, verify=False
+    ),
+    "ablation_network": _TINY,
+    "ablation_workloads": dict(
+        nranks=4,
+        sizes=dict(figure2=32, indirect=8, fft=8, sort=8, stencil=8, lu=8),
+        verify=False,
+    ),
+    "ablation_nodeloop": _TINY,
+    "ablation_scenarios": dict(names=("gmnet", "hostnet"), **_TINY),
+    "ablation_collectives": dict(
+        networks=("gmnet",), nranks=4, fft_n=8, cg_n=16, halo_n=8,
+        steps=1, stages=2,
+    ),
+    "ablation_variants": dict(
+        sizes={"fft": 8, "nodeloop": 8, "indirect": 8},
+        nranks=4,
+        networks=("gmnet",),
+        verify=False,
+    ),
+}
+
+
+class TestFigureDefaultSession:
+    def test_every_figure_is_covered(self):
+        assert set(_FIGURE_KWARGS) == set(figures.__all__)
+
+    @pytest.mark.parametrize("name", sorted(_FIGURE_KWARGS))
+    def test_no_session_equals_fresh_session(self, name):
+        """A figure called without ``session=`` runs in a fresh
+        ``Session()``: the same table, cell for cell."""
+        fn = getattr(figures, name)
+        kwargs = _FIGURE_KWARGS[name]
+        bare = fn(**kwargs)
+        with Session() as session:
+            explicit = fn(session=session, **kwargs)
+        assert bare.title == explicit.title
+        assert bare.columns == explicit.columns
+        assert bare.rows == explicit.rows
+        assert bare.notes == explicit.notes
+
+    def test_fresh_session_is_closed(self, monkeypatch):
+        closed = []
+        close = Session.close
+        monkeypatch.setattr(
+            Session, "close", lambda self: closed.append(self) or close(self)
+        )
+        figure1(**_FIGURE_KWARGS["figure1"])
+        assert len(closed) == 1
+        with Session() as session:
+            figure1(session=session, **_FIGURE_KWARGS["figure1"])
+            assert len(closed) == 1  # a caller's session stays open

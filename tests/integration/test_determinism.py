@@ -2,8 +2,8 @@
 of its inputs.
 
 The sweep cache's soundness (DESIGN §7) rests entirely on this section:
-two runs of the same :class:`ClusterJob` — in the same process, or
-through the :func:`run_many` process pool — must produce bit-identical
+two runs of the same :class:`~repro.api.Job` — in the same process, or
+through a session's process pool — must produce bit-identical
 ``SimResult``s: virtual times, per-rank accounting (event counts), and
 final payloads.  These tests pin exactly that, at bit (``==``) rather
 than approximate precision.
@@ -14,7 +14,6 @@ import pytest
 
 from repro.api import Job, Session
 from repro.apps import build_app
-from repro.interp.runner import ClusterJob, run_many
 from repro.transform import TransformOptions, get_variant
 
 
@@ -45,11 +44,11 @@ def _jobs():
     )
     cg = build_app("cg", n=16, nranks=4, steps=2, stages=2)
     return [
-        ClusterJob(program=fft.source, nranks=4, network="gmnet"),
-        ClusterJob(program=prepush.source, nranks=4, network="gmnet"),
-        ClusterJob(program=fft.source, nranks=4, network="hostnet",
-                   collective={"alltoall": "bruck"}),
-        ClusterJob(program=cg.source, nranks=4, network="gm-rendezvous"),
+        Job(program=fft.source, nranks=4, network="gmnet"),
+        Job(program=prepush.source, nranks=4, network="gmnet"),
+        Job(program=fft.source, nranks=4, network="hostnet",
+            collective={"alltoall": "bruck"}),
+        Job(program=cg.source, nranks=4, network="gm-rendezvous"),
     ]
 
 
@@ -57,14 +56,8 @@ class TestSerialDeterminism:
     @pytest.mark.parametrize("index", range(4))
     def test_same_job_twice_is_bit_identical(self, index):
         job = _jobs()[index]
-        request = Job(
-            program=job.program,
-            nranks=job.nranks,
-            network=job.network,
-            collective=job.collective,
-        )
-        first = Session().run(request)
-        second = Session().run(request)
+        first = Session().run(job)
+        second = Session().run(job)
         assert_runs_bit_identical(first, second)
 
 
@@ -74,9 +67,10 @@ class TestPoolDeterminism:
         provides one — the serial fallback is equally covered and the
         batch reports which one ran)."""
         jobs = _jobs()
-        serial = run_many(jobs, processes=None)
+        serial = Session().run_many(jobs)
         assert serial.mode == "serial"
-        pooled = run_many(jobs, processes=2)
+        with Session(jobs=2) as session:
+            pooled = session.run_many(jobs)
         assert pooled.mode in ("pool", "serial")
         assert len(pooled) == len(serial)
         for a, b in zip(serial, pooled):

@@ -1,10 +1,13 @@
 """The compuniformer CLI."""
 
+import functools
 import json
 
 import pytest
 
+from repro import cli
 from repro.cli import main
+from repro.harness.report import Table
 from tests.programs import direct_1d
 
 
@@ -485,3 +488,62 @@ class TestEngineMode:
         assert replay and len(replay) == len(full)
         for a, b in zip(replay, full):
             assert a["measurement"] == b["measurement"]
+
+
+
+_FLAGS = {"--network": "gmnet", "--collective": "bruck",
+          "--variant": "tile-only"}
+_ONE_ARM = {
+    "--network": {"network": "gmnet"},
+    "--collective": {"collective": "bruck"},
+    "--variant": {"variant": "tile-only"},
+}
+#: (bench, flag) -> the keywords ``bench`` forwards: the figures that
+#: sweep their own networks/variants take the flag as a one-element
+#: axis, and the rest ignore it
+_BENCH_KWARGS = {
+    **{(name, flag): kwargs for name in
+       ("nodeloop", "scaling", "tile_size", "workloads")
+       for flag, kwargs in _ONE_ARM.items()},
+    ("collectives", "--network"): {"networks": ("gmnet",)},
+    ("collectives", "--collective"): {},
+    ("collectives", "--variant"): {},
+    ("variants", "--network"): {"networks": ("gmnet",)},
+    ("variants", "--collective"): {},
+    ("variants", "--variant"): {"variants": ("tile-only",)},
+    **{(name, flag): {} for name in ("network", "scenarios")
+       for flag in _FLAGS},
+}
+
+
+class TestBenchForwarding:
+    """``bench`` forwards --network/--collective/--variant to exactly the
+    keywords each figure's signature accepts."""
+
+    @staticmethod
+    def _record(monkeypatch, name):
+        seen = []
+
+        @functools.wraps(cli._BENCHES[name])
+        def recorder(*, session, **kwargs):
+            seen.append(kwargs)
+            return Table(title=name, columns=["x"])
+
+        monkeypatch.setitem(cli._BENCHES, name, recorder)
+        return seen
+
+    def test_table_covers_every_bench(self):
+        assert {name for name, _ in _BENCH_KWARGS} == set(cli._BENCHES)
+
+    @pytest.mark.parametrize("name, flag", sorted(_BENCH_KWARGS))
+    def test_forwarded_kwargs(self, name, flag, monkeypatch, capsys):
+        seen = self._record(monkeypatch, name)
+        assert main(["bench", name, flag, _FLAGS[flag]]) == 0
+        assert seen == [_BENCH_KWARGS[name, flag]]
+        assert name in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", sorted(cli._BENCHES))
+    def test_no_flags_forward_nothing(self, name, monkeypatch):
+        seen = self._record(monkeypatch, name)
+        assert main(["bench", name]) == 0
+        assert seen == [{}]

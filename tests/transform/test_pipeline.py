@@ -41,6 +41,7 @@ from repro.transform.pipeline import (
     variant_identity,
     variant_label,
 )
+from tests.programs import direct_2d
 
 # every (app, geometry) the figure/ablation suite transforms: figure1's
 # indirect kernel plus the Ablation A-G rosters at their real sizes
@@ -237,6 +238,15 @@ class TestGoldenParity:
         )
         assert piped.transformed
         assert fingerprint(piped) == PARITY["custom_alltoall_names"]
+
+    def test_leftover_block_matches_frozen(self):
+        """K=5 over a trip of 16 leaves one iteration: the leftover
+        block after the tiled loop (its own slices, counts and tag)."""
+        piped = get_variant("prepush").run(
+            direct_2d(n=16, nprocs=4), TransformOptions(tile_size=5)
+        )
+        assert piped.sites[0].leftover == 1
+        assert fingerprint(piped) == PARITY["leftover_block"]
 
     def test_simulated_times_and_payloads_identical(self):
         """The end-to-end anchor: identical text -> identical virtual
