@@ -191,10 +191,3 @@ def loop_indexing_dimension(
     if len(driving) == 1:
         return driving[0]
     return None
-
-
-def statements_between(
-    body: Sequence[Stmt], start_index: int, end_index: int
-) -> List[Stmt]:
-    """The top-level statements strictly between two indices of a body."""
-    return list(body[start_index + 1 : end_index])

@@ -34,6 +34,7 @@ from ..harness.runner import (
     measurement_from_run,
 )
 from ..harness.sweep import (
+    TRANSFORM_MEMO_SIZE,
     SweepCache,
     SweepResult,
     SweepSpec,
@@ -44,7 +45,9 @@ from ..harness.sweep import (
 from ..interp.runner import (
     ClusterJob,
     ClusterRun,
+    ProgramMemo,
     RunBatch,
+    _init_pool_worker,
     execute_job,
     run_many,
 )
@@ -117,15 +120,18 @@ class Session:
     :class:`~repro.api.Job` naming its own network) are resolved per
     call, against the registries as they are then.
 
-    The session owns three amortized resources: the sweep cache
+    The session owns four amortized resources: the sweep cache
     (:attr:`cache`, shared by every :meth:`sweep` call); a lazily
     created persistent process pool (when ``jobs`` > 1), reused across
     :meth:`run_many`/:meth:`sweep` calls and released by :meth:`close`
-    or the context-manager exit; and a bounded in-memory memo of
+    or the context-manager exit; a bounded in-memory memo of
     transformations, so a sweep or tune search that revisits an (app,
     variant, options) combination skips the transform pipeline
-    (DESIGN.md §7.3).  :meth:`transform` and :meth:`prepare` bypass the
-    memo and return a fresh AST per call.
+    (DESIGN.md §7.3); and a bounded program memo, so a sweep's
+    simulations parse, generate code for and record each program once
+    (§7.4).  :meth:`transform` and :meth:`prepare` bypass the transform
+    memo and return a fresh AST per call; :meth:`run`,
+    :meth:`run_many` and :meth:`measure` bypass the program memo.
     """
 
     def __init__(
@@ -152,6 +158,7 @@ class Session:
         self._executor = None
         self._executor_failed = False
         self._transforms = _TransformMemo()
+        self._programs = ProgramMemo(TRANSFORM_MEMO_SIZE)
 
     # ------------------------------------------------------- resources
 
@@ -180,7 +187,12 @@ class Session:
             try:
                 from concurrent.futures import ProcessPoolExecutor
 
-                executor = ProcessPoolExecutor(max_workers=self.jobs)
+                # each worker keeps a program memo of its own
+                executor = ProcessPoolExecutor(
+                    max_workers=self.jobs,
+                    initializer=_init_pool_worker,
+                    initargs=(TRANSFORM_MEMO_SIZE,),
+                )
             except Exception:
                 self._executor_failed = True
                 return None
@@ -424,6 +436,7 @@ class Session:
             cache=self.cache,
             executor=self.pool(),
             memo=self._transforms,
+            programs=self._programs,
         )
 
     def _bind_specs(

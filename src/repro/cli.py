@@ -391,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--network",
         choices=list_models(),
         default=None,
-        help="run the ablation under this scenario (where applicable)",
+        help="run the ablation under this scenario "
+        "(with 'all': where applicable)",
     )
     p.add_argument(
         "--processes",
@@ -404,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list_variants(),
         default=None,
         help="treatment-arm pipeline for the ablations that compare "
-        "original vs one variant (where applicable)",
+        "original vs one variant (with 'all': where applicable)",
     )
     _add_collective_arg(p)
     _add_engine_mode_arg(p)
@@ -881,7 +882,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         ) as session:
             for name in names:
                 fn = _BENCHES[name]
-                print(fn(session=session, **_bench_kwargs(fn, args)).render())
+                kwargs = _bench_kwargs(fn, args, strict=args.name != "all")
+                print(fn(session=session, **kwargs).render())
                 print()
         return 0
 
@@ -1001,33 +1003,33 @@ def _check_figure_flags(
         )
 
 
-def _bench_kwargs(fn, args: argparse.Namespace) -> dict:
+def _bench_kwargs(fn, args: argparse.Namespace, strict: bool) -> dict:
     """Forward ``bench``'s --network/--collective/--variant flags to the
     keywords ``fn`` accepts: a figure that sweeps its own networks or
-    variants takes the flag as a one-element axis, and one that takes
-    none of them ignores it."""
-    accepted = inspect.signature(fn).parameters
-    candidates = {
-        "network": args.network,
-        "networks": (args.network,) if args.network else None,
-        "collective": args.collective,
-        "variant": args.variant,
-        "variants": (args.variant,) if args.variant else None,
-    }
-    return {
-        key: value
-        for key, value in candidates.items()
-        if value is not None and key in accepted
-    }
+    variants takes the flag as a one-element axis, and a single named
+    bench that takes none of them rejects it (:func:`_forward_flags`)."""
+    return _forward_flags(
+        fn,
+        {
+            "network": ("--network", args.network),
+            "networks": (
+                "--network",
+                (args.network,) if args.network else None,
+            ),
+            "collective": ("--collective", args.collective),
+            "variant": ("--variant", args.variant),
+            "variants": (
+                "--variant",
+                (args.variant,) if args.variant else None,
+            ),
+        },
+        strict,
+    )
 
 
 def _figure_kwargs(fn, args: argparse.Namespace, strict: bool) -> dict:
-    """Forward the sweep flags a figure function actually accepts.
-
-    With ``strict`` (a single named target), a provided flag the figure
-    does not accept is an error rather than a silent no-op.
-    """
-    accepted = inspect.signature(fn).parameters
+    """Forward the sweep flags a figure function actually accepts (see
+    :func:`_forward_flags`)."""
     candidates = {
         "n": ("--n", args.n),
         "nranks": ("--nranks", args.nranks[0] if args.nranks else None),
@@ -1053,6 +1055,18 @@ def _figure_kwargs(fn, args: argparse.Namespace, strict: bool) -> dict:
         ),
         "verify": ("--no-verify", False if args.no_verify else None),
     }
+    return _forward_flags(fn, candidates, strict)
+
+
+def _forward_flags(fn, candidates: dict, strict: bool) -> dict:
+    """The keywords of ``candidates`` (keyword -> (flag, value or
+    None)) that were provided and that ``fn`` accepts.
+
+    With ``strict`` (a single named target), a provided flag the figure
+    does not accept is an error rather than a silent no-op; ``all``
+    forwards flags where applicable.
+    """
+    accepted = inspect.signature(fn).parameters
     provided = {
         key: (flag, value)
         for key, (flag, value) in candidates.items()

@@ -64,6 +64,7 @@ from ..errors import ReproError
 from ..interp.runner import (
     ClusterJob,
     ClusterRun,
+    ProgramMemo,
     job_fingerprint,
     run_many,
 )
@@ -347,6 +348,7 @@ class SweepPoint:
             collective=self.collective,
             variant=self.variant_id,
             engine_mode=self.engine_mode,
+            text=self.text,
         )
 
 
@@ -888,6 +890,7 @@ def expand_spec(
                                     cost_model=first_cost,
                                     externals=app.externals,
                                     label=f"{app.name}/verify-{label}",
+                                    text=text,
                                 ),
                                 key=_verification_key(
                                     pa, text, first_cost
@@ -1236,9 +1239,7 @@ def plan_sweep(
             plan.stats.uncacheable += 1
             plan.pending[index] = point
             continue
-        fp = point.fingerprint = job_fingerprint(
-            point.job(), text=point.text
-        )
+        fp = point.fingerprint = job_fingerprint(point.job())
         if fp in plan.resolved or fp in plan.pending:
             continue
         m = read_measurement(cache, fp) if cache is not None else None
@@ -1269,6 +1270,7 @@ def _execute_sweep(
     cache: Union[None, str, Path, SweepCache] = None,
     executor=None,
     memo: Optional[_TransformMemo] = None,
+    programs: Optional[ProgramMemo] = None,
 ) -> SweepResult:
     """Execute one or more sweep specs: plan, one ``run_many`` batch,
     fold.
@@ -1281,14 +1283,16 @@ def _execute_sweep(
     re-simulating; ``None`` disables caching entirely.  Points whose
     fingerprints coincide are simulated once per batch regardless of
     caching.  ``memo`` is the session's transform memo (see
-    :func:`expand_spec`).
+    :func:`expand_spec`), ``programs`` its program memo (DESIGN.md
+    §7.4), through which the serial batch parses, generates code for
+    and records each program once.
 
     This is the engine behind :meth:`repro.api.Session.sweep`.
     """
     plan = plan_sweep(specs, cache, memo)
     batch = plan.jobs()
     if batch:
-        runs = run_many(batch, executor=executor)
+        runs = run_many(batch, executor=executor, programs=programs)
         plan.stats.mode = runs.mode
         plan.stats.processes = runs.processes
         plan.fold(runs)

@@ -384,8 +384,10 @@ class StmtCompiler:
     functions take the interpreter (``itp``) and the frame (``f``) as
     parameters, so the module is generated once per job, not once per
     rank, and compiled once per text.  Generation is lazy — the first
-    :meth:`body_entries` call builds everything — and the ``compile()``
-    itself is shared process-wide through the code memo.
+    :meth:`body_entries` call builds everything, under a lock, since a
+    session's program memo shares one compiler across the jobs (and the
+    sweep server's threads) that run its program — and the
+    ``compile()`` itself is shared process-wide through the code memo.
     """
 
     #: the charges' names in emitted code (see :data:`_COSTS`)
@@ -402,6 +404,7 @@ class StmtCompiler:
         self._exprs: Dict[int, Tuple[Expr, Callable]] = {}
         self._bodies: Dict[int, Tuple[list, list]] = {}
         self._pinned: List[Any] = []
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------- purity
 
@@ -499,7 +502,7 @@ class StmtCompiler:
         hit = self._bodies.get(key)
         if hit is not None and hit[0] is body:
             return hit[1]
-        fns = self._fns if self._fns is not None else self._build()
+        fns = self._functions()
         entries = [(fns.get(id(s)), s) for s in body]
         self._bodies[key] = (body, entries)
         return entries
@@ -508,7 +511,7 @@ class StmtCompiler:
         """The compiled ``fn(itp, frame) -> value`` of one expression."""
         hit = self._exprs.get(id(e))
         if hit is None and self._fns is None:
-            self._build()
+            self._functions()
             hit = self._exprs.get(id(e))
         if hit is not None and hit[0] is e:
             return hit[1]
@@ -543,6 +546,14 @@ class StmtCompiler:
     def _skeleton(self) -> List[Tuple[Expr, _UnitTypes]]:
         """Expressions to compile up front besides the regions."""
         return []
+
+    def _functions(self) -> Dict[int, Callable]:
+        """The region functions, generated on first use."""
+        fns = self._fns
+        if fns is None:
+            with self._lock:
+                fns = self._fns if self._fns is not None else self._build()
+        return fns
 
     def _build(self) -> Dict[int, Callable]:
         regions = self._regions()

@@ -210,20 +210,11 @@ class Interpreter:
 
     def run(self) -> Gen:
         """Execute the main program; yields engine operations."""
-        program = self.source.main
-        frame = Frame(unit_name=program.name)
-        self._elaborate_decls(program.decls, frame)
-        try:
-            yield from self._exec_body(program.body, frame)
-        except _Return:
-            pass
-        yield from self._flush()
-
-    def final_arrays(self, frame_holder: Dict[str, FArray]) -> None:  # pragma: no cover
-        raise NotImplementedError
+        return self.run_collecting()
 
     def run_collecting(self) -> Gen:
-        """Like run() but leaves the main frame in ``self.main_frame``."""
+        """Execute the main program, yielding engine operations, and
+        leave its frame in ``self.main_frame``."""
         program = self.source.main
         frame = Frame(unit_name=program.name)
         self.main_frame = frame

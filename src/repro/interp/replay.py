@@ -26,12 +26,25 @@ The recorded data is reassembled into the same
 :class:`~repro.interp.runner.ClusterRun` shape full interpretation
 produces: per-rank print records expanded from rank vectors, per-rank
 final arrays from shadows (rank-uniform arrays share one ndarray across
-ranks — treat them read-only).
+ranks — treat them read-only).  A :class:`Recording` is what survives
+of a recorder after a successful run; a session's program memo keeps
+one per (program, rank count, cost model) and hands it to every
+network and collective suite that replays it (DESIGN.md §7.4).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import (
+    Any,
+    Dict,
+    Generator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -45,6 +58,7 @@ from ..runtime.network import IDEAL, NetworkModel, resolve_model
 from ..runtime.simulator import Engine
 from .runner import ClusterRun
 from .symmetry import RankVec, SymmetryRecorder, TraceEvent
+from .values import FArray
 
 
 def record_trace(
@@ -64,6 +78,42 @@ def record_trace(
             )  # pragma: no cover - recorder never emits these
         recorder.trace.append(("compute", op.seconds))
     return recorder
+
+
+@dataclass(frozen=True)
+class Recording:
+    """A successful recording, detached from its recorder.
+
+    ``trace`` is the schedule every rank follows, ``output`` the print
+    template (rank vectors where ranks differ), ``arrays`` the
+    rank-uniform final state and ``shadows`` each rank-varying array's
+    per-rank contents.  Replaying only reads it, and it depends on the
+    program, the rank count and the cost model alone, so one recording
+    serves every network and collective suite.
+    """
+
+    trace: List[TraceEvent]
+    output: List[Tuple[Any, ...]]
+    arrays: Dict[str, FArray]
+    shadows: Dict[str, np.ndarray]
+    data_approximate: bool
+
+    @classmethod
+    def of(cls, recorder: SymmetryRecorder) -> "Recording":
+        return cls(
+            trace=recorder.trace,
+            output=recorder.output,
+            arrays=recorder.main_frame.arrays,
+            shadows=recorder.shadows,
+            data_approximate=recorder.data_approximate,
+        )
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of array data the recording holds."""
+        return sum(s.nbytes for s in self.shadows.values()) + sum(
+            a.data.nbytes for a in self.arrays.values()
+        )
 
 
 def _scratch_for(events: Sequence[TraceEvent]) -> List[Tuple[np.ndarray, ...]]:
@@ -121,15 +171,23 @@ def replay_cluster(
     *,
     cost_model: CostModel = DEFAULT_COST_MODEL,
     collective: CollectiveSpec = None,
+    recording: Optional[Recording] = None,
 ) -> ClusterRun:
     """Record once, replay on ``nranks`` ranks; bit-identical to
     :func:`~repro.interp.runner._simulate` whenever recording succeeds.
 
     Raises :class:`~repro.errors.SymmetryError` when the program is not
     provably rank-symmetric (the caller decides whether to fall back).
+    A ``recording`` already made of ``program`` under ``nranks`` and
+    ``cost_model`` is replayed as it is; since it serves other runs
+    too, the run's arrays are copies of its shadows, never views.
     """
-    recorder = record_trace(program, nranks, cost_model=cost_model)
-    events = recorder.trace
+    shared = recording is not None
+    if recording is None:
+        recording = Recording.of(
+            record_trace(program, nranks, cost_model=cost_model)
+        )
+    events = recording.trace
     scratch = _scratch_for(events)
     # one collective-staging pool for the whole cluster (see
     # SimComm.staging_buffer): replayed payloads are never read back,
@@ -148,16 +206,16 @@ def replay_cluster(
     result = engine.run()
     return ClusterRun(
         result=result,
-        outputs=_expand_outputs(recorder, nranks),
-        arrays=_expand_arrays(recorder, nranks),
-        data_approximate=recorder.data_approximate,
+        outputs=_expand_outputs(recording, nranks),
+        arrays=_expand_arrays(recording, nranks, copy=shared),
+        data_approximate=recording.data_approximate,
     )
 
 
 def _expand_outputs(
-    recorder: SymmetryRecorder, nranks: int
+    recording: Recording, nranks: int
 ) -> List[List[Tuple[Any, ...]]]:
-    template = recorder.output
+    template = recording.output
     has_vecs = any(
         isinstance(v, RankVec) for entry in template for v in entry
     )
@@ -176,23 +234,24 @@ def _expand_outputs(
 
 
 def _expand_arrays(
-    recorder: SymmetryRecorder, nranks: int
+    recording: Recording, nranks: int, *, copy: bool
 ) -> List[Dict[str, np.ndarray]]:
     # rank-uniform (and approximate-representative) arrays are shared
-    # across ranks as one ndarray; shadowed arrays get per-rank copies
-    frame = recorder.main_frame
+    # across ranks as one ndarray; shadowed arrays get per-rank views of
+    # the shadow rows, or copies (``copy``) when the recording outlives
+    # this run
     shared = {
         name: arr.data.copy(order="F")
-        for name, arr in frame.arrays.items()
-        if name not in recorder.shadows
+        for name, arr in recording.arrays.items()
+        if name not in recording.shadows
     }
     arrays: List[Dict[str, np.ndarray]] = []
     for rank in range(nranks):
         d = dict(shared)
-        for name, shadow in recorder.shadows.items():
-            shape = frame.arrays[name].shape
-            d[name] = np.asfortranarray(
-                shadow[rank].reshape(shape, order="F")
+        for name, shadow in recording.shadows.items():
+            row = shadow[rank].reshape(
+                recording.arrays[name].shape, order="F"
             )
+            d[name] = row.copy(order="F") if copy else np.asfortranarray(row)
         arrays.append(d)
     return arrays

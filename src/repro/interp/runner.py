@@ -21,6 +21,11 @@ multiprocessing silently degrade, which callers must be able to see).
 :func:`job_fingerprint` hashes everything a :class:`ClusterJob`'s
 result depends on — the content-addressed key of the sweep cache
 (DESIGN.md §7).
+
+:class:`ProgramMemo` keeps what simulations derive from a program text
+alone — the parsed AST, the generated code and the symmetry recording
+per rank count and cost model — so a session's sweeps parse, generate
+and record each program once (DESIGN.md §7.4).
 """
 
 from __future__ import annotations
@@ -28,8 +33,19 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -45,6 +61,9 @@ from . import symmetry
 from .compiler import StmtCompiler
 from .interpreter import Interpreter
 from .procedures import ExternalRegistry
+
+if TYPE_CHECKING:
+    from .replay import Recording
 
 
 @dataclass
@@ -90,19 +109,24 @@ def _simulate(
     externals: Optional[ExternalRegistry] = None,
     detect_races: bool = True,
     collective: CollectiveSpec = None,
+    compiler: Optional[StmtCompiler] = None,
 ) -> ClusterRun:
     """Simulate ``program`` on ``nranks`` ranks over ``network``.
 
     ``network`` is a :class:`~repro.runtime.network.NetworkModel` or the
     name of a registered scenario (e.g. ``"gmnet"``); ``collective``
     selects collective algorithms the same way (see
-    :func:`repro.runtime.collectives.resolve_suite`).
+    :func:`repro.runtime.collectives.resolve_suite`).  ``compiler`` is
+    a :class:`StmtCompiler` of ``program`` without externals that
+    earlier jobs may already have generated (a :class:`ProgramMemo`
+    entry's).
     """
     network = resolve_model(network)
     source = _as_source(program)
     externals = externals or ExternalRegistry()
     # one generated module serves every rank (DESIGN.md §5)
-    compiler = StmtCompiler(source, externals)
+    if compiler is None:
+        compiler = StmtCompiler(source, externals)
     interps = [
         Interpreter(
             source,
@@ -180,15 +204,21 @@ class ClusterJob:
     collective: CollectiveSpec = None
     variant: Optional[Dict[str, Any]] = None
     engine_mode: str = "auto"
+    #: ``program`` as source text when it is an AST whose text the
+    #: caller already holds (the sweep's transform memo does), so
+    #: fingerprinting skips an unparse and a :class:`ProgramMemo` can
+    #: key the job
+    text: Optional[str] = None
 
     def program_text(self) -> str:
-        """The job's program as source text (unparsing an AST input)."""
-        if isinstance(self.program, SourceFile):
-            return unparse(self.program)
-        return self.program
+        """The job's program as source text (unparsing an AST input
+        whose text the job does not carry)."""
+        if isinstance(self.program, str):
+            return self.program
+        return unparse(self.program) if self.text is None else self.text
 
 
-def job_fingerprint(job: ClusterJob, *, text: Optional[str] = None) -> str:
+def job_fingerprint(job: ClusterJob) -> str:
     """Content-address of one simulation: sha-256 over everything the
     result depends on.
 
@@ -205,11 +235,8 @@ def job_fingerprint(job: ClusterJob, *, text: Optional[str] = None) -> str:
     Jobs carrying an :class:`ExternalRegistry` embed arbitrary Python
     callables whose behavior cannot be content-hashed; fingerprinting
     them raises :class:`~repro.errors.SimulationError` and the sweep
-    engine runs such points uncached instead.
-
-    ``text`` is the job's program as source text when the caller already
-    holds it (the sweep engine's transform memo does); otherwise an AST
-    program is unparsed here.
+    engine runs such points uncached instead.  An AST program is
+    unparsed here unless the job carries its ``text``.
     """
     if job.externals is not None:
         raise SimulationError(
@@ -226,7 +253,7 @@ def job_fingerprint(job: ClusterJob, *, text: Optional[str] = None) -> str:
         # replay is bit-identical wherever it runs, so all modes share
         # one cache entry per job.
         "symmetry": symmetry.SYMMETRY_VERSION,
-        "program": job.program_text() if text is None else text,
+        "program": job.program_text(),
         "nranks": job.nranks,
         "network": resolve_model(job.network).canonical_params(),
         "cost": job.cost_model.canonical_params(),
@@ -245,9 +272,28 @@ def job_fingerprint(job: ClusterJob, *, text: Optional[str] = None) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def execute_job(job: ClusterJob) -> ClusterRun:
-    """Simulate one :class:`ClusterJob` — the non-deprecated core every
-    façade path (and the process pool) executes.
+#: the program memo of an executor worker, set by the executor's
+#: initializer (:func:`_use_programs`); unset in every other thread
+_worker = threading.local()
+
+
+def _use_programs(programs: "ProgramMemo") -> None:
+    """Executor initializer: the worker runs its jobs through
+    ``programs`` (the sweep server's threads share their session's)."""
+    _worker.programs = programs
+
+
+def _init_pool_worker(size: int) -> None:
+    """Process-pool initializer: the worker keeps one bounded
+    :class:`ProgramMemo` of its own for the pool's lifetime."""
+    _use_programs(ProgramMemo(size))
+
+
+def execute_job(
+    job: ClusterJob, programs: Optional["ProgramMemo"] = None
+) -> ClusterRun:
+    """Simulate one :class:`ClusterJob` — the core every façade path,
+    sweep and pool worker executes.
 
     Engine dispatch (DESIGN.md §10): ``engine_mode="auto"`` attempts the
     rank-symmetry replay engine and falls back to full per-rank
@@ -255,6 +301,12 @@ def execute_job(job: ClusterJob) -> ClusterRun:
     converts that fallback into an :class:`~repro.errors.EngineModeError`
     so an unexpectedly asymmetric program fails loudly; ``"full"``
     skips the symmetry analysis entirely.
+
+    ``programs`` (a session's :class:`ProgramMemo`; by default the
+    executor worker's, see :func:`_use_programs`) supplies the parsed
+    program, its generated code and its symmetry outcome when an
+    earlier job already made them.  Jobs with externals, and AST
+    programs whose text the job does not carry, run without it.
     """
     mode = job.engine_mode
     if mode not in ("auto", "replay", "full"):
@@ -262,8 +314,11 @@ def execute_job(job: ClusterJob) -> ClusterRun:
             f"unknown engine_mode {mode!r} (expected 'auto', 'replay', "
             f"or 'full')"
         )
+    if programs is None:
+        programs = getattr(_worker, "programs", None)
+    entry = None if programs is None else programs.entry(job)
     # parsed once: a replay attempt and its fallback share the AST
-    source = _as_source(job.program)
+    source = _as_source(job.program) if entry is None else entry.source
     if mode != "full":
         try:
             if job.externals is not None:
@@ -280,6 +335,11 @@ def execute_job(job: ClusterJob) -> ClusterRun:
                 job.network,
                 cost_model=job.cost_model,
                 collective=job.collective,
+                recording=(
+                    None
+                    if entry is None
+                    else programs.recording(entry, job.nranks, job.cost_model)
+                ),
             )
         except SymmetryError as exc:
             if mode == "replay":
@@ -295,7 +355,124 @@ def execute_job(job: ClusterJob) -> ClusterRun:
         externals=job.externals,
         detect_races=job.detect_races,
         collective=job.collective,
+        compiler=None if entry is None else entry.compiler,
     )
+
+
+class _Program:
+    """One :class:`ProgramMemo` entry: a program text's AST and the
+    compiler every full interpretation of it shares."""
+
+    __slots__ = ("text", "source", "compiler")
+
+    def __init__(self, text: str, source: SourceFile) -> None:
+        self.text = text
+        self.source = source
+        # generation stays lazy: a program that always replays never
+        # generates the full interpreter's code
+        self.compiler = StmtCompiler(source, ExternalRegistry())
+
+
+#: a recording, or the message of the refusal to record
+_Outcome = Union["Recording", str]
+
+
+class ProgramMemo:
+    """Bounded, thread-safe memo of what simulations derive from a
+    program text alone (DESIGN.md §7.4).
+
+    Keyed by program text, an entry holds the parsed
+    :class:`~repro.lang.SourceFile` (a job's own AST when it carries
+    its text) and one :class:`StmtCompiler`, which depends on the AST
+    and not on the cost model.  Beside the entries, the memo keeps one
+    symmetry outcome per (text, rank count, canonical cost parameters):
+    the :class:`~repro.interp.replay.Recording`, or the refusal's
+    message, raised again as a fresh
+    :class:`~repro.errors.SymmetryError` each time.  A recording
+    depends on neither the network nor the collective suite, so a
+    sweep over networks records each program once.
+
+    Entries and outcomes are each bounded by ``size``, least recently
+    used first out, and the outcomes' array data by the recorder's own
+    shadow budget (:data:`~repro.interp.symmetry.MAX_SHADOW_BYTES`).
+    The stored ASTs, compilers and recordings are shared read-only.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self._entries: "OrderedDict[str, _Program]" = OrderedDict()
+        self._outcomes: "OrderedDict[Tuple[Any, ...], _Outcome]" = (
+            OrderedDict()
+        )
+        self._outcome_bytes = 0
+        self._lock = threading.Lock()
+
+    def entry(self, job: ClusterJob) -> Optional[_Program]:
+        """The entry of ``job``'s program (made on first use), or
+        ``None`` when the job runs without the memo."""
+        if job.externals is not None:
+            return None
+        program = job.program
+        text = program if isinstance(program, str) else job.text
+        if text is None:
+            return None
+        with self._lock:
+            entry = self._entries.get(text)
+            if entry is not None:
+                self._entries.move_to_end(text)
+                return entry
+        entry = _Program(text, _as_source(program))
+        with self._lock:
+            # a thread that lost a race adopts the winner's entry
+            entry = self._entries.setdefault(text, entry)
+            self._entries.move_to_end(text)
+            while len(self._entries) > self.size:
+                self._entries.popitem(last=False)
+        return entry
+
+    def recording(
+        self, entry: _Program, nranks: int, cost_model: CostModel
+    ) -> "Recording":
+        """The recording of ``entry``'s program under ``nranks`` and
+        ``cost_model``, made on first use; raises
+        :class:`~repro.errors.SymmetryError` when recording refuses."""
+        from . import replay
+
+        key = (
+            entry.text,
+            nranks,
+            tuple(sorted(cost_model.canonical_params().items())),
+        )
+        with self._lock:
+            outcome = self._outcomes.get(key)
+            if outcome is not None:
+                self._outcomes.move_to_end(key)
+        if outcome is None:
+            try:
+                outcome = replay.Recording.of(
+                    replay.record_trace(
+                        entry.source, nranks, cost_model=cost_model
+                    )
+                )
+            except SymmetryError as exc:
+                outcome = str(exc)
+            with self._lock:
+                if key not in self._outcomes:
+                    self._outcomes[key] = outcome
+                    self._outcome_bytes += _nbytes(outcome)
+                while self._outcomes and (
+                    len(self._outcomes) > self.size
+                    or self._outcome_bytes > symmetry.MAX_SHADOW_BYTES
+                ):
+                    _, old = self._outcomes.popitem(last=False)
+                    self._outcome_bytes -= _nbytes(old)
+        if isinstance(outcome, str):
+            raise SymmetryError(outcome)
+        return outcome
+
+
+def _nbytes(outcome: _Outcome) -> int:
+    return 0 if isinstance(outcome, str) else outcome.nbytes
 
 
 def _poolable(jobs: Sequence[ClusterJob]) -> bool:
@@ -342,22 +519,30 @@ class RunBatch(List[ClusterRun]):
         self.processes = processes
 
 
-def run_many(jobs: Sequence[ClusterJob], *, executor=None) -> RunBatch:
+def run_many(
+    jobs: Sequence[ClusterJob],
+    *,
+    executor=None,
+    programs: Optional[ProgramMemo] = None,
+) -> RunBatch:
     """Run independent simulations, optionally on a process pool.
 
     ``executor`` (a live :class:`concurrent.futures.Executor`, in
     practice a :class:`repro.api.Session`'s persistent pool) runs the
     batch and is **not** shut down afterwards.  Without one (or for a
     single job, or unpicklable jobs) the batch runs serially in
-    submission order.  Results come back in submission order either
-    way, so output is identical — sweeps are deterministic per job.
-    The returned :class:`RunBatch` says which path executed and why.
+    submission order, through ``programs`` (see :func:`execute_job`)
+    when given.  Results come back in submission order either way, so
+    output is identical — sweeps are deterministic per job.  The
+    returned :class:`RunBatch` says which path executed and why.
     """
     jobs = list(jobs)
 
     def serial(reason: str) -> RunBatch:
         return RunBatch(
-            [execute_job(j) for j in jobs], mode="serial", reason=reason
+            [execute_job(j, programs) for j in jobs],
+            mode="serial",
+            reason=reason,
         )
 
     if executor is None:

@@ -33,7 +33,6 @@ from .ast_nodes import (
     FuncCall,
     If,
     IntLit,
-    Print,
     RealLit,
     Slice,
     Stmt,
@@ -180,10 +179,6 @@ def ge(left: ExprLike, right: ExprLike) -> BinOp:
     return binop(">=", left, right)
 
 
-def and_(left: ExprLike, right: ExprLike) -> BinOp:
-    return binop(".and.", left, right)
-
-
 # ----- statements -----
 
 
@@ -213,10 +208,6 @@ def do(
 
 def if_(cond: Expr, body: Sequence[Stmt], else_body: Sequence[Stmt] = ()) -> If:
     return If(branches=[(cond, list(body))], else_body=list(else_body))
-
-
-def print_(*items: ExprLike) -> Print:
-    return Print(items=[lift(i) for i in items])
 
 
 def comment(text: str) -> Comment:

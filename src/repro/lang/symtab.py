@@ -14,7 +14,6 @@ from typing import Dict, List, Optional
 from ..errors import AnalysisError
 from .ast_nodes import (
     DimSpec,
-    EntityDecl,
     Expr,
     ExternalDecl,
     SourceFile,
@@ -114,13 +113,3 @@ def build_symtab(unit: Unit) -> SymbolTable:
 def build_symtabs(source: SourceFile) -> Dict[str, SymbolTable]:
     """Symbol tables for every unit in a file, keyed by unit name."""
     return {u.name: build_symtab(u) for u in source.units}
-
-
-def declared_entity(unit: Unit, name: str) -> Optional[EntityDecl]:
-    """Find the EntityDecl for ``name`` in a unit's declarations."""
-    for decl in unit.decls:
-        if isinstance(decl, TypeDecl):
-            for ent in decl.entities:
-                if ent.name == name:
-                    return ent
-    return None

@@ -62,11 +62,6 @@ def contains_name(node: Node, name: str) -> bool:
     return False
 
 
-def loop_vars_used(expr: Expr) -> List[str]:
-    """Names of all scalar variables referenced in an expression."""
-    return sorted({n.name for n in expr.walk() if isinstance(n, VarRef)})
-
-
 def substitute(expr: Expr, bindings: Dict[str, Expr]) -> Expr:
     """Return a copy of ``expr`` with VarRefs replaced per ``bindings``.
 

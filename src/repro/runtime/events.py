@@ -165,7 +165,3 @@ class SimResult:
     # interpretation of the same job report the same count.  Throughput
     # benchmarks divide this by wall time for an events/sec figure.
     ops_processed: int = 0
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(s.bytes_sent for s in self.stats)

@@ -66,7 +66,7 @@ from ..harness.sweep import (
     read_measurement,
     read_verdict,
 )
-from ..interp.runner import ClusterJob, execute_job
+from ..interp.runner import ClusterJob, _use_programs, execute_job
 from ..runtime.simulator import ENGINE_VERSION
 from ..transform.options import TransformOptions
 from .protocol import (
@@ -274,9 +274,13 @@ class SweepServer:
         if self._thread_executor is None:
             from concurrent.futures import ThreadPoolExecutor
 
+            # the threads share the session's program memo (pool
+            # workers keep their own)
             self._thread_executor = ThreadPoolExecutor(
                 max_workers=self.executor_workers,
                 thread_name_prefix="repro-serve",
+                initializer=_use_programs,
+                initargs=(self.session._programs,),
             )
         return self._thread_executor
 

@@ -500,18 +500,18 @@ _ONE_ARM = {
 }
 #: (bench, flag) -> the keywords ``bench`` forwards: the figures that
 #: sweep their own networks/variants take the flag as a one-element
-#: axis, and the rest ignore it
+#: axis, and a figure that cannot take the flag rejects it (``None``)
 _BENCH_KWARGS = {
     **{(name, flag): kwargs for name in
        ("nodeloop", "scaling", "tile_size", "workloads")
        for flag, kwargs in _ONE_ARM.items()},
     ("collectives", "--network"): {"networks": ("gmnet",)},
-    ("collectives", "--collective"): {},
-    ("collectives", "--variant"): {},
+    ("collectives", "--collective"): None,
+    ("collectives", "--variant"): None,
     ("variants", "--network"): {"networks": ("gmnet",)},
-    ("variants", "--collective"): {},
+    ("variants", "--collective"): None,
     ("variants", "--variant"): {"variants": ("tile-only",)},
-    **{(name, flag): {} for name in ("network", "scenarios")
+    **{(name, flag): None for name in ("network", "scenarios")
        for flag in _FLAGS},
 }
 
@@ -538,9 +538,27 @@ class TestBenchForwarding:
     @pytest.mark.parametrize("name, flag", sorted(_BENCH_KWARGS))
     def test_forwarded_kwargs(self, name, flag, monkeypatch, capsys):
         seen = self._record(monkeypatch, name)
-        assert main(["bench", name, flag, _FLAGS[flag]]) == 0
-        assert seen == [_BENCH_KWARGS[name, flag]]
-        assert name in capsys.readouterr().out
+        expected = _BENCH_KWARGS[name, flag]
+        rc = main(["bench", name, flag, _FLAGS[flag]])
+        if expected is None:
+            # the same error `sweep` gives, before anything runs
+            assert rc == 1 and seen == []
+            err = capsys.readouterr().err
+            assert f"{flag} not supported by this figure target" in err
+        else:
+            assert rc == 0
+            assert seen == [expected]
+            assert name in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", sorted(_FLAGS))
+    def test_bench_all_forwards_where_applicable(
+        self, flag, monkeypatch, capsys
+    ):
+        seen = {name: self._record(monkeypatch, name) for name in cli._BENCHES}
+        assert main(["bench", "all", flag, _FLAGS[flag]]) == 0
+        assert seen == {
+            name: [_BENCH_KWARGS[name, flag] or {}] for name in cli._BENCHES
+        }
 
     @pytest.mark.parametrize("name", sorted(cli._BENCHES))
     def test_no_flags_forward_nothing(self, name, monkeypatch):

@@ -1,19 +1,41 @@
-"""No module under ``src/repro`` imports a name it never uses.
+"""No module under ``src/repro`` imports a name it never uses, and no
+top-level function or class goes without a caller.
 
-A static AST scan (no linter dependency).  A name counts as used when
+Static AST scans (no linter dependency).  A name counts as used when
 it appears as an identifier anywhere in the module, inside a string
 annotation (``session: "Optional[Session]"``), or in the module's
-``__all__``.  Package ``__init__`` modules are exempt: their imports
-are the package's re-exports.
+``__all__``.  Package ``__init__`` modules are exempt from the import
+scan: their imports are the package's re-exports.
+
+A top-level definition has a caller when some module under
+``src/repro`` names it: as an identifier, an attribute, an imported
+name, in a string annotation or in an ``__all__``.  Exempt are
+definitions a registering decorator hands to its registry, names of the
+declared API surface (``tests/api_surface.txt``) and the short list of
+test-support helpers below.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+API_SURFACE = Path(__file__).resolve().parent / "api_surface.txt"
+
+#: decorators whose registry calls the definition they wrap (tune
+#: constraints, collective algorithms)
+REGISTERING_DECORATORS = {"_constraint", "register_algorithm"}
+
+#: definitions only the tests call: the AST builders test fixtures
+#: construct programs with, and helpers pinned by their own tests
+TEST_SUPPORT = {
+    "lang/builder.py": {"lit", "aref", "slice_", "array_decl"},
+    "lang/visitor.py": {"replace_var"},
+    "analysis/regions.py": {"dim_extent"},
+}
 
 
 def _annotations(tree: ast.AST):
@@ -96,3 +118,83 @@ def test_scan_honours_all_and_string_annotations():
         "    return os.path.join(c)\n"
     )
     assert unused_imports(source) == [(3, "d"), (3, "e")]
+
+
+def _decorator_name(node: ast.expr) -> str:
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def callerless_definitions(sources, exempt=frozenset()):
+    """``(module, name)`` for each top-level function or class of
+    ``sources`` (module name -> source text) that no module names."""
+    referenced = set()
+    definitions = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        referenced |= used_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced |= {alias.name for alias in node.names}
+        for node in tree.body:
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                continue
+            if any(
+                _decorator_name(d) in REGISTERING_DECORATORS
+                for d in node.decorator_list
+            ):
+                continue
+            definitions.append((module, node.name))
+    return sorted(
+        (module, name)
+        for module, name in definitions
+        if name not in referenced and name not in exempt
+    )
+
+
+def test_every_top_level_definition_has_a_caller():
+    sources = {
+        str(p.relative_to(SRC)): p.read_text(encoding="utf-8")
+        for p in sorted(SRC.rglob("*.py"))
+    }
+    surface = set(re.findall(r"\w+", API_SURFACE.read_text(encoding="utf-8")))
+    found = callerless_definitions(sources, exempt=surface)
+    assert [
+        (module, name)
+        for module, name in found
+        if name not in TEST_SUPPORT.get(module, ())
+    ] == []
+
+
+def test_definition_scan_honours_registries_and_references():
+    sources = {
+        "a.py": (
+            "def used(): pass\n"
+            "def dead(): pass\n"
+            "class Dead: pass\n"
+            "@_constraint('x')\n"
+            "def registered(): pass\n"
+            "@reg.register_algorithm('alltoall', 'y')\n"
+            "def algorithm(): pass\n"
+            "def public(): pass\n"
+            "def annotated(): pass\n"
+            "def method_named(): pass\n"
+        ),
+        "b.py": (
+            "from a import used\n"
+            "def f(x: 'annotated'):\n"
+            "    return x.method_named()\n"
+        ),
+    }
+    assert callerless_definitions(sources, exempt={"public"}) == [
+        ("a.py", "Dead"),
+        ("a.py", "dead"),
+        ("b.py", "f"),
+    ]
