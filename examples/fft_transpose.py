@@ -20,17 +20,17 @@ def main() -> None:
     app = fft_transpose(n=96, nranks=8, steps=1, stages=6)
     print(f"workload: {app.description}\n")
 
-    # show what the tool does to it
-    prepared = session.prepare(
+    # show what the tool does to it (the compare also checks §4)
+    pair = session.compare(
         CompareRequest(app=app, options=TransformOptions(tile_size=8))
     )
-    site = prepared.transform.sites[0]
+    site = pair.transform.sites[0]
     print(
         f"transformed: {site.kind.value} pattern, scheme {site.scheme}, "
         f"{site.ntiles} tiles of K={site.tile_size}"
     )
     print("communication code generated per tile (paper Figure 4):\n")
-    text = prepared.transform.unparse()
+    text = pair.transform.unparse()
     in_guard = False
     for line in text.splitlines():
         if "mod(ix, 8) == 0" in line:

@@ -11,7 +11,7 @@ own) appears as the offload column beating the host-driven column.
 Run:  python examples/network_study.py
 """
 
-from repro import CompareRequest, Session, TransformOptions
+from repro import CompareRequest, Session, TransformOptions, VerifyRequest
 from repro.apps import adi_sweep
 from repro.harness import Table
 from repro.runtime.costmodel import DEFAULT_COST_MODEL
@@ -22,9 +22,12 @@ def main() -> None:
     # kernels doing realistic work per element: a session-wide cost model
     session = Session(cost_model=DEFAULT_COST_MODEL.scaled(4.0))
     app = adi_sweep(n=64, nranks=8, steps=2)
-    prepared = session.prepare(
-        CompareRequest(app=app, options=TransformOptions(tile_size=8))
+    options = TransformOptions(tile_size=8)
+    # the §4 check does not depend on the network: run it once
+    check = session.verify(
+        VerifyRequest(program=app.source, nranks=app.nranks, options=options)
     )
+    print(f"§4 equivalence: {check.equivalent}\n")
 
     table = Table(
         title="prepush speedup vs wire speed and offload (adi stencil)",
@@ -41,8 +44,14 @@ def main() -> None:
             offload=False,
             host_byte_time=byte_time,
         )
-        a = prepared.run_on(offload)
-        b = prepared.run_on(host)
+        a, b = (
+            session.compare(
+                CompareRequest(
+                    app=app, options=options, network=net, verify=False
+                )
+            )
+            for net in (offload, host)
+        )
         table.add(f"{250 / factor:.0f} MB/s", a.speedup, b.speedup)
 
     print(table.render())

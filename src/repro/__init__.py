@@ -97,7 +97,6 @@ from .tune import (  # noqa: F401
 from .verify import (  # noqa: F401
     EquivalenceReport,
     verify_equivalence,
-    verify_transform,
 )
 
 __version__ = "0.1.0"
@@ -120,7 +119,6 @@ __all__ = [
     "unparse",
     # verification
     "verify_equivalence",
-    "verify_transform",
     "EquivalenceReport",
     # registries
     "list_models",

@@ -24,23 +24,30 @@ or pool startup.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..apps.base import AppSpec
+from ..errors import ReproError, VerificationError
 from ..harness.runner import (
     Measurement,
     PairResult,
     PreparedApp,
-    measurement_from_run,
 )
 from ..harness.sweep import (
     TRANSFORM_MEMO_SIZE,
     SweepCache,
+    SweepPlan,
+    SweepPoint,
     SweepResult,
     SweepSpec,
+    _app_verification,
     _as_cache,
     _execute_sweep,
+    _transform,
     _TransformMemo,
+    _Verification,
+    plan_points,
+    plan_sweep,
 )
 from ..interp.runner import (
     ClusterJob,
@@ -51,12 +58,11 @@ from ..interp.runner import (
     execute_job,
     run_many,
 )
-from ..errors import ReproError
 from ..lang.ast_nodes import SourceFile
 from ..runtime.collectives import resolve_suite
 from ..runtime.costmodel import CostModel
 from ..runtime.network import NetworkModel, resolve_model
-from ..transform.options import TransformOptions
+from ..transform.options import DEFAULT_TRANSFORM_OPTIONS, TransformOptions
 from ..transform.pipeline import (
     Pipeline,
     PipelineReport,
@@ -64,7 +70,7 @@ from ..transform.pipeline import (
     variant_identity,
     variant_label,
 )
-from ..verify import EquivalenceReport, verify_transform
+from ..verify import EquivalenceReport
 from .context import (
     UNSET,
     CompareRequest,
@@ -121,17 +127,20 @@ class Session:
     call, against the registries as they are then.
 
     The session owns four amortized resources: the sweep cache
-    (:attr:`cache`, shared by every :meth:`sweep` call); a lazily
+    (:attr:`cache`, shared by every planned call); a lazily
     created persistent process pool (when ``jobs`` > 1), reused across
-    :meth:`run_many`/:meth:`sweep` calls and released by :meth:`close`
+    :meth:`run_many` and planned calls and released by :meth:`close`
     or the context-manager exit; a bounded in-memory memo of
     transformations, so a sweep or tune search that revisits an (app,
     variant, options) combination skips the transform pipeline
     (DESIGN.md §7.3); and a bounded program memo, so a sweep's
     simulations parse, generate code for and record each program once
-    (§7.4).  :meth:`transform` and :meth:`prepare` bypass the transform
-    memo and return a fresh AST per call; :meth:`run`,
-    :meth:`run_many` and :meth:`measure` bypass the program memo.
+    (§7.4).  :meth:`measure`, :meth:`compare`, :meth:`verify` and
+    :meth:`sweep` all run as plans through the one plan → execute →
+    fold path (§7.5), so each reads and writes the cache and uses both
+    memos; :meth:`transform` bypasses the transform memo and returns a
+    fresh AST per call, and :meth:`run` and :meth:`run_many` (the raw
+    single-job paths) bypass the cache and the program memo.
     """
 
     def __init__(
@@ -257,17 +266,22 @@ class Session:
         A job naming a transformation ``variant`` is transformed here —
         the resolved program plus the pipeline's identity (which
         :func:`~repro.interp.runner.job_fingerprint` folds into the
-        cache key) go into the engine job.
+        cache key) go into the engine job.  A text program transforms
+        through the session's transform memo, so the job also carries
+        the transformed text the program memo keys on.
         """
         program = job.program
-        identity = None
+        identity = text = None
         if job.variant is not None:
             pipeline = resolve_variant(job.variant)
             options = (
                 job.options if job.options is not None else TransformOptions()
             )
-            # only .source is consumed here; skip the per-pass snapshots
-            report = pipeline.run(program, options, snapshots=False)
+            if isinstance(program, str):
+                report, text = self._transforms.run(pipeline, program, options)
+            else:
+                # only .source is consumed here; skip the per-pass snapshots
+                report = pipeline.run(program, options, snapshots=False)
             if not report.changed and (
                 report.rejections
                 or not (pipeline.partial or pipeline.empty)
@@ -307,6 +321,7 @@ class Session:
             collective=self._resolve_collective(job.collective),
             variant=identity,
             engine_mode=self._resolve_engine_mode(job.engine_mode),
+            text=text,
         )
 
     # ------------------------------------------------------- execution
@@ -321,17 +336,23 @@ class Session:
             [self.cluster_job(j) for j in jobs], executor=self.pool()
         )
 
+    def _execute(self, plan: SweepPlan) -> SweepResult:
+        """Run one plan's pending work on the session's pool and program
+        memo and fold it: the execute stage of every verb that plans
+        (:meth:`measure`, :meth:`compare`, :meth:`verify`,
+        :meth:`sweep`)."""
+        return _execute_sweep(
+            plan, executor=self.pool(), programs=self._programs
+        )
+
     def measure(self, job: Job) -> Measurement:
-        """Simulate one job and fold its stats into a
+        """Simulate one job (a one-point plan through the session cache)
+        and fold its stats into a
         :class:`~repro.harness.runner.Measurement`."""
         resolved = self.cluster_job(job)
-        run = execute_job(resolved)
-        return measurement_from_run(
-            run,
-            network=resolved.network,
-            label=job.label,
-            collective=resolved.collective,
-        )
+        point = SweepPoint(axes={"label": job.label}, job=resolved)
+        plan = plan_points([point], (), self.cache)
+        return self._execute(plan).runs[0].measurement
 
     def transform(
         self,
@@ -358,67 +379,152 @@ class Session:
             snapshots=snapshots,
         )
 
-    def prepare(
-        self, request: Union[CompareRequest, AppSpec]
-    ) -> PreparedApp:
-        """Transform (and optionally §4-check) one workload for reuse
-        across measurements — the cached half of :meth:`compare`.
-
-        The returned :class:`~repro.harness.runner.PreparedApp` exposes
-        the full per-pass report chain on ``.transform`` (a
-        :class:`~repro.transform.pipeline.PipelineReport`) instead of
-        discarding it.
-        """
-        request = self._as_compare(request)
-        pipeline = self._resolve_variant(request.variant)
-        return PreparedApp(
-            request.app,
-            options=request.options,
-            variant=pipeline,
-            verify=(
-                self.context.verify
-                if request.verify is None
-                else request.verify
-            ),
-            cost_model=self._resolve_cost_model(request.cost_model),
-        )
-
     def compare(
         self, request: Union[CompareRequest, AppSpec]
     ) -> PairResult:
-        """Measure one workload original vs. pre-pushed on one network."""
+        """Measure one workload original vs. pre-pushed on one network:
+        a two-point plan, plus the §4 check of the pair when verifying
+        and the variant changed the program (a mismatch raises).
+
+        The transformation goes through the session's transform memo,
+        so the returned ``transform`` report carries no intermediate
+        snapshots (:meth:`transform` has them).
+        """
+        plan, finish = self._plan_compare(request)
+        return finish(self._execute(plan))
+
+    def _plan_compare(
+        self, request: Union[CompareRequest, AppSpec]
+    ) -> Tuple[SweepPlan, Callable[[SweepResult], PairResult]]:
+        """The plan of one :meth:`compare` and the fold of its result
+        into a :class:`~repro.harness.runner.PairResult` (shared with
+        the sweep server's compare verb)."""
         request = self._as_compare(request)
-        prepared = self.prepare(request)
-        return prepared.run_on(
-            self._resolve_network(request.network),
-            collective=self._resolve_collective(request.collective),
+        app = request.app
+        pipeline = self._resolve_variant(request.variant)
+        options = request.options or DEFAULT_TRANSFORM_OPTIONS
+        report, text = _transform(app, pipeline, options, self._transforms)
+        # refuses a program the variant had to change but did not
+        PreparedApp(app, report, pipeline)
+        network = self._resolve_network(request.network)
+        collective = self._resolve_collective(request.collective)
+        cost_model = self._resolve_cost_model(request.cost_model)
+
+        def point(label, program, text, identity) -> SweepPoint:
+            job = ClusterJob(
+                program=program,
+                nranks=app.nranks,
+                network=network,
+                cost_model=cost_model,
+                externals=app.externals,
+                label=f"{app.name}/{label}",
+                collective=collective,
+                variant=identity,
+                engine_mode=self.engine_mode,
+                text=text,
+            )
+            axes = {"app": app.name, "variant": label}
+            return SweepPoint(axes=axes, job=job)
+
+        identity = (
+            None if pipeline.empty else variant_identity(pipeline, options)
         )
+        points = [
+            point("original", app.source, None, None),
+            point("prepush", report.source, text, identity),
+        ]
+        verify = request.verify
+        if verify is None:
+            verify = self.context.verify
+        checks = []
+        if verify and report.changed:
+            checks.append(
+                _app_verification(
+                    app,
+                    report,
+                    text,
+                    variant_label(pipeline),
+                    cost_model,
+                    self.engine_mode,
+                )
+            )
+
+        def finish(result: SweepResult) -> PairResult:
+            return PairResult(
+                app=app.name,
+                network=network.name,
+                original=result.runs[0].measurement,
+                prepush=result.runs[1].measurement,
+                transform=report,
+                equivalent=all(c.report.equivalent for c in checks),
+            )
+
+        return plan_points(points, checks, self.cache), finish
 
     def verify(
         self, request: Union[VerifyRequest, str, SourceFile]
     ) -> VerifyResult:
-        """Transform a program and check §4 output equivalence.
+        """Transform a program and check §4 output equivalence: a plan
+        of one verification through the session cache.
 
         Accepts a bare program (source text or AST) as shorthand for
         ``VerifyRequest(program=...)`` with its defaults.  Raises
         :class:`~repro.errors.VerificationError` when nothing in the
-        program is transformable (there would be nothing to verify).
+        program is transformable (there would be nothing to verify), and
+        on a mismatch when ``check`` is set.
         """
+        plan, finish = self._plan_verify(request)
+        return finish(self._execute(plan))
+
+    def _plan_verify(
+        self, request: Union[VerifyRequest, str, SourceFile]
+    ) -> Tuple[SweepPlan, Callable[[SweepResult], VerifyResult]]:
+        """The plan of one :meth:`verify` and the fold of its result
+        (shared with the sweep server's verify verb)."""
         if not isinstance(request, VerifyRequest):
             request = VerifyRequest(program=request)
-        equivalence, report = verify_transform(
-            request.program,
-            request.nranks,
-            options=request.options,
-            variant=self._resolve_variant(request.variant),
-            oracle=request.oracle,
-            network=self._resolve_network(request.network),
-            cost_model=self._resolve_cost_model(request.cost_model),
-            externals=request.externals,
-            collective=self._resolve_collective(request.collective),
-            check=request.check,
+        pipeline = self._resolve_variant(request.variant)
+        report = pipeline.run(
+            request.program, request.options, oracle=request.oracle
         )
-        return VerifyResult(equivalence=equivalence, transform=report)
+        if not report.changed:
+            raise VerificationError(
+                f"no transformable communication site found (variant "
+                f"{pipeline.name or 'pipeline'!r}):\n  "
+                + "\n  ".join(r.reason for r in report.rejections)
+            )
+
+        def job(program, text, label) -> ClusterJob:
+            return ClusterJob(
+                program=program,
+                nranks=request.nranks,
+                network=self._resolve_network(request.network),
+                cost_model=self._resolve_cost_model(request.cost_model),
+                externals=request.externals,
+                label=f"verify-{label}",
+                collective=self._resolve_collective(request.collective),
+                engine_mode=self.engine_mode,
+                text=text,
+            )
+
+        check = _Verification(
+            name="program",
+            skip=report.dead_arrays,
+            original_job=job(request.program, None, "original"),
+            transformed_job=job(
+                report.source,
+                None if request.externals is not None else report.unparse(),
+                "transformed",
+            ),
+            strict=False,
+        )
+
+        def finish(result: SweepResult) -> VerifyResult:
+            if request.check:
+                check.report.raise_on_mismatch()
+            return VerifyResult(equivalence=check.report, transform=report)
+
+        return plan_points((), [check], self.cache), finish
 
     def sweep(
         self, specs: Union[SweepSpec, Sequence[SweepSpec]]
@@ -431,12 +537,8 @@ class Session:
         Specs that leave ``engine_mode`` unset (``None``) inherit the
         session's; a spec naming its own mode keeps it.  Either way the
         cache keys are unaffected (all modes are bit-identical)."""
-        return _execute_sweep(
-            self._bind_specs(specs),
-            cache=self.cache,
-            executor=self.pool(),
-            memo=self._transforms,
-            programs=self._programs,
+        return self._execute(
+            plan_sweep(self._bind_specs(specs), self.cache, self._transforms)
         )
 
     def _bind_specs(

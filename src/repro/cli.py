@@ -155,8 +155,13 @@ _BENCHES = {
 def _read_source(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ReproError(
+            f"cannot read source file {path!r}: {exc.strerror or exc}"
+        ) from None
 
 
 def _guard_overwrite(path: Optional[str], force: bool) -> None:

@@ -724,13 +724,7 @@ def _preflight_variants(names, labels, *, sizes, nranks, dropped, memo):
                         kwargs["n"] = sizes[app_name]
                     app = build_app(app_name, nranks=nranks, **kwargs)
                     report, _ = _transform(app, pipeline, options, memo)
-                    PreparedApp(
-                        app,
-                        options=options,
-                        variant=pipeline,
-                        verify=False,
-                        report=report,
-                    )
+                    PreparedApp(app, report, pipeline)
         except ReproError as exc:
             dropped.append(f"{label}: {str(exc).splitlines()[0]}")
             continue

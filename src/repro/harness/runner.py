@@ -1,34 +1,33 @@
-"""Experiment execution: run original/transformed pairs over network models.
+"""Experiment building blocks: measurements, pairs and prepared workloads.
 
 :class:`Measurement` folds one simulation into a timing breakdown;
-:class:`PreparedApp` transforms a workload once, checks equivalence
-(an experiment on wrong data is worthless), and measures both variants
-on one network.  These are the building blocks every figure/ablation
-uses; callers reach them through the :class:`repro.api.Session` façade
-(:meth:`~repro.api.Session.measure` / :meth:`~repro.api.Session.compare`).
+:class:`PairResult` holds one workload's original and pre-pushed
+measurements; :class:`PreparedApp` holds one workload's transformation,
+refusing one that left the program unchanged when the variant had to
+change it.  The sweep plans (:mod:`repro.harness.sweep`) run every
+measurement and §4 check; callers reach them through the
+:class:`repro.api.Session` façade (:meth:`~repro.api.Session.measure`,
+:meth:`~repro.api.Session.compare`, :meth:`~repro.api.Session.sweep`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Sequence, Union
 
 from ..apps.base import AppSpec
 from ..errors import ReproError
-from ..interp.runner import ClusterJob, ClusterRun, execute_job
-from ..lang.ast_nodes import SourceFile
+from ..interp.runner import ClusterRun
 from ..runtime.collectives import CollectiveSpec, describe_suite, resolve_suite
-from ..runtime.costmodel import DEFAULT_COST_MODEL, CostModel
-from ..runtime.network import NetworkModel, resolve_model
-from ..transform.options import DEFAULT_TRANSFORM_OPTIONS, TransformOptions
+from ..runtime.network import NetworkModel
 from ..transform.pipeline import (
     Pipeline,
     PipelineReport,
     resolve_variant,
     variant_label,
 )
-from ..verify import compare_runs
+from ..verify import EquivalenceReport, compare_runs
 
 
 @dataclass
@@ -90,9 +89,8 @@ def measurement_from_run(
     collective: CollectiveSpec = None,
 ) -> Measurement:
     """Fold one completed :class:`~repro.interp.runner.ClusterRun` into a
-    :class:`Measurement` (shared by :meth:`repro.api.Session.measure`,
-    :meth:`PreparedApp.run_on` and the sweep engine, which simulates
-    through :func:`~repro.interp.runner.run_many`)."""
+    :class:`Measurement` (the fold stage of every sweep plan,
+    :meth:`~repro.harness.sweep.SweepPlan.fold_run`)."""
     stats = run.result.stats
     # the worst-rank communication figure must come from ONE rank: taking
     # independent maxima of wait and overhead would overstate comm_cost
@@ -114,34 +112,6 @@ def measurement_from_run(
         unexpected=sum(s.unexpected_messages for s in stats),
         warnings=list(run.warnings),
         collective=describe_suite(resolve_suite(collective)),
-    )
-
-
-def _measure_impl(
-    program: Union[str, SourceFile],
-    nranks: int,
-    network: Union[str, NetworkModel],
-    *,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-    externals=None,
-    label: str = "",
-    collective: CollectiveSpec = None,
-) -> Measurement:
-    """Simulate once and fold the per-rank stats into a measurement
-    (the core of :meth:`PreparedApp.run_on`)."""
-    network = resolve_model(network)
-    run = execute_job(
-        ClusterJob(
-            program=program,
-            nranks=nranks,
-            network=network,
-            cost_model=cost_model,
-            externals=externals,
-            collective=collective,
-        )
-    )
-    return measurement_from_run(
-        run, network=network, label=label, collective=collective
     )
 
 
@@ -175,30 +145,15 @@ class PairResult:
 
 
 class PreparedApp:
-    """A workload transformed once, reusable across network sweeps.
-
-    Transforming and (especially) equivalence-checking are not free;
-    sweeps over network parameters reuse the same pair of ASTs.
-
-    The transformation runs through the variant registry
-    (:mod:`repro.transform.pipeline`): ``variant`` names a registered
-    pipeline (default ``"prepush"``) and ``options`` carries the knobs
-    as one frozen :class:`~repro.transform.options.TransformOptions`
-    (``None`` = the defaults).  ``.transform``
-    is a :class:`~repro.transform.pipeline.PipelineReport`, so the
-    per-pass chain and intermediate snapshots are inspectable on every
-    prepared workload (``snapshots=False`` skips capturing the
-    intermediate texts — the sweep engine does this, since it prepares
-    one app per axis combination and reads none of them).  ``report``
-    adopts a finished run of ``variant`` over ``app.source`` with
-    ``options`` instead of running the pipeline again (the sweep engine
-    passes memoized runs, DESIGN.md §7.3).
+    """A workload transformed once by one variant: ``report`` is the
+    :class:`~repro.transform.pipeline.PipelineReport` of ``variant``
+    (a registered name or a :class:`~repro.transform.pipeline.Pipeline`)
+    over ``app.source``, kept as ``.transform``.
 
     Variants marked ``partial`` (e.g. ``tile-only`` on an indirect
-    workload) may legitimately leave the program unchanged and are
-    measured as-is; for full-rewrite pipelines an unchanged program is
-    an error.  ``allow_unchanged`` overrides that default (``None`` =
-    follow ``pipeline.partial``).  A program left *entirely* unchanged
+    workload) and the empty baseline may legitimately leave the program
+    unchanged and are measured as-is; for full-rewrite pipelines an
+    unchanged program is an error.  A program left *entirely* unchanged
     because sites were rejected raises regardless; rejections alongside
     at least one successful rewrite are reported, not raised — the
     paper's semi-automatic convention.
@@ -207,124 +162,32 @@ class PreparedApp:
     def __init__(
         self,
         app: AppSpec,
-        *,
-        verify: bool = True,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
-        options: Optional[TransformOptions] = None,
+        report: PipelineReport,
         variant: Union[str, Pipeline] = "prepush",
-        allow_unchanged: Optional[bool] = None,
-        snapshots: bool = True,
-        report: Optional[PipelineReport] = None,
     ) -> None:
-        if options is None:
-            options = DEFAULT_TRANSFORM_OPTIONS
-        self.app = app
-        self.cost_model = cost_model
-        self.options = options
-        self.variant = resolve_variant(variant)
-        if report is None:
-            report = self.variant.run(
-                app.source, options, oracle=app.oracle, snapshots=snapshots
-            )
+        pipeline = resolve_variant(variant)
         self.transform = report
-        if allow_unchanged is None:
-            allow_unchanged = self.variant.partial or self.variant.empty
-        if not self.transform.changed:
+        if not report.changed and (
+            report.rejections or not (pipeline.partial or pipeline.empty)
+        ):
             # an unchanged program is acceptable only when the variant
-            # *intentionally* left it alone (a pipeline registered as
-            # partial, or the empty baseline).  A site the planner
+            # *intentionally* left it alone.  A site the planner
             # REJECTED is a failure whatever the variant — silently
             # measuring the original would report a fake speedup of 1.0
-            if self.transform.rejections or not allow_unchanged:
-                raise ReproError(
-                    f"workload {app.name!r} was not transformed by "
-                    f"variant {variant_label(self.variant)!r}:\n  "
-                    + "\n  ".join(
-                        r.reason for r in self.transform.rejections
-                    )
-                )
-        self.equivalent = True
-        # verify whenever the program CHANGED — a site rewrite, or any
-        # other pass that touched the AST (§4 applies to both)
-        if verify and self.transform.changed:
-            self._verify()
-
-    def _verify(self) -> None:
-        from ..runtime.network import IDEAL
-
-        a = execute_job(
-            ClusterJob(
-                program=self.app.source,
-                nranks=self.app.nranks,
-                network=IDEAL,
-                cost_model=self.cost_model,
-                externals=self.app.externals,
-            )
-        )
-        b = execute_job(
-            ClusterJob(
-                program=self.transform.source,
-                nranks=self.app.nranks,
-                network=IDEAL,
-                cost_model=self.cost_model,
-                externals=self.app.externals,
-            )
-        )
-        self.check_equivalence(a, b)
-
-    def check_equivalence(self, original: ClusterRun, transformed: ClusterRun) -> None:
-        """Compare two completed runs of the pair and record the verdict.
-
-        Split out of :meth:`_verify` so the sweep engine can supply runs
-        it executed itself (possibly through the process pool) instead
-        of re-simulating here.  Raises on mismatch, like construction
-        with ``verify=True`` does.
-        """
-        report = compare_runs(
-            original, transformed, skip=self.transform.dead_arrays
-        )
-        self.equivalent = report.equivalent
-        if not report.equivalent:
             raise ReproError(
-                f"transformed {self.app.name!r} is NOT equivalent:\n  "
-                + "\n  ".join(report.mismatches[:5])
+                f"workload {app.name!r} was not transformed by "
+                f"variant {variant_label(pipeline)!r}:\n  "
+                + "\n  ".join(r.reason for r in report.rejections)
             )
 
-    def run_on(
-        self,
-        network: Union[str, NetworkModel],
-        collective: CollectiveSpec = None,
-    ) -> PairResult:
-        """Measure both variants on one network model (or scenario name).
-
-        ``collective`` selects the collective algorithms both variants
-        run under (the prepush variant has replaced its alltoall with
-        point-to-point traffic, so the knob mostly moves the original).
-        """
-        network = resolve_model(network)
-        original = _measure_impl(
-            self.app.source,
-            self.app.nranks,
-            network,
-            cost_model=self.cost_model,
-            externals=self.app.externals,
-            label=f"{self.app.name}/original",
-            collective=collective,
-        )
-        prepush = _measure_impl(
-            self.transform.source,
-            self.app.nranks,
-            network,
-            cost_model=self.cost_model,
-            externals=self.app.externals,
-            label=f"{self.app.name}/prepush",
-            collective=collective,
-        )
-        return PairResult(
-            app=self.app.name,
-            network=network.name,
-            original=original,
-            prepush=prepush,
-            transform=self.transform,
-            equivalent=self.equivalent,
-        )
+    @staticmethod
+    def check_equivalence(
+        original: ClusterRun,
+        transformed: ClusterRun,
+        skip: Sequence[str] = (),
+    ) -> EquivalenceReport:
+        """The §4 verdict on two completed runs of a transformed
+        workload, ``skip`` naming the arrays the transformation killed
+        (the check :meth:`~repro.harness.sweep.SweepPlan.fold_verification`
+        applies; the plan decides whether a mismatch raises)."""
+        return compare_runs(original, transformed, skip=skip)

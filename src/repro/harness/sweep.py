@@ -10,12 +10,13 @@ nested loops.  This module separates the *experiment spec* from the
   cross-product into :class:`SweepPoint`\\ s (transforming each workload
   once per tile/interchange choice, not once per point, and not at all
   when the session's transform memo already holds that run);
-* :func:`plan_sweep` fingerprints the points, deduplicates those whose
+* :func:`plan_points` fingerprints the points, deduplicates those whose
   content fingerprints coincide (e.g. the untransformed baseline of a
-  tile-size sweep) and probes the cache; the rest run through the
-  sharded :func:`~repro.interp.runner.run_many` pool and
-  :class:`SweepPlan` folds each run into a
-  :class:`~repro.harness.runner.Measurement`;
+  tile-size sweep) and probes the cache (:func:`plan_sweep` runs it
+  over a spec's expansion; a Session's measure, compare and verify
+  over their own points and checks); the rest run through the sharded
+  :func:`~repro.interp.runner.run_many` pool and :class:`SweepPlan`
+  folds each run into a :class:`~repro.harness.runner.Measurement`;
 * :class:`SweepCache` stores each measurement on disk keyed by
   :func:`~repro.interp.runner.job_fingerprint` — the sha-256 of
   (program text, network parameters, cost model, collective suite, rank
@@ -40,7 +41,7 @@ import threading
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import (
     Any,
@@ -87,6 +88,7 @@ from ..transform.pipeline import (
     variant_identity,
     variant_label,
 )
+from ..verify import EquivalenceReport
 from .runner import Measurement, PreparedApp, measurement_from_run
 
 __all__ = [
@@ -101,6 +103,7 @@ __all__ = [
     "SweepPlan",
     "collective_label",
     "expand_spec",
+    "plan_points",
     "plan_sweep",
     "read_measurement",
     "read_verdict",
@@ -315,51 +318,89 @@ class SweepSpec:
 
 @dataclass
 class SweepPoint:
-    """One fully-resolved simulation of a sweep (pre-execution)."""
+    """One fully-resolved simulation of a plan (pre-execution): the
+    engine job, the axis values that address its run, and the
+    transformation that produced its program."""
 
     axes: Dict[str, Any]
-    program: Union[str, SourceFile]
-    nranks: int
-    network: NetworkModel
-    collective: CollectiveSpec
-    cost_model: CostModel
-    detect_races: bool
-    label: str
-    externals: Any = None
+    job: ClusterJob
     transform: Optional[PipelineReport] = None
     fingerprint: Optional[str] = None  # None = uncacheable (externals)
-    #: ``program`` as source text when it is an AST whose text is
-    #: already known, so fingerprinting skips one unparse per point
-    text: Optional[str] = None
-    #: transformation provenance (pipeline identity + options) of
-    #: transformed points; None for the untransformed baseline
-    variant_id: Optional[Dict[str, Any]] = None
-    engine_mode: str = "auto"
-
-    def job(self) -> ClusterJob:
-        return ClusterJob(
-            program=self.program,
-            nranks=self.nranks,
-            network=self.network,
-            cost_model=self.cost_model,
-            detect_races=self.detect_races,
-            externals=self.externals,
-            label=self.label,
-            collective=self.collective,
-            variant=self.variant_id,
-            engine_mode=self.engine_mode,
-            text=self.text,
-        )
 
 
 @dataclass
 class _Verification:
-    """A pending original/transformed equivalence check of one spec."""
+    """One pending §4 check: the original and transformed jobs of
+    workload ``name``, compared with the ``skip`` arrays left out.
 
-    prepared: PreparedApp
+    :func:`plan_points` keys it (:meth:`verdict_key`); ``report`` holds
+    the verdict once the plan has read or folded it.  A mismatch of a
+    ``strict`` check fails its plan (sweeps and compares); a non-strict
+    one leaves the failing report for its caller (a verify request).
+    """
+
+    name: str
+    skip: Tuple[str, ...]
     original_job: ClusterJob
     transformed_job: ClusterJob
-    key: Optional[str]  # None = uncacheable (externals)
+    strict: bool = True
+    key: Optional[str] = None  # None = uncacheable (externals)
+    report: Optional[EquivalenceReport] = None
+
+    def verdict_key(self) -> Optional[str]:
+        """Content-address of the check (None = uncacheable): sha-256
+        over both jobs' fingerprints and the skipped arrays.
+
+        The §4 verdict is a pure function of the two simulations — the
+        same §3.2 argument that makes measurement caching sound — so the
+        key inherits everything a fingerprint folds in: program texts,
+        rank count, network, collectives, cost model, race detection
+        and the engine and symmetry-recorder versions.
+        """
+        if self.original_job.externals is not None:
+            return None
+        payload = {
+            "kind": "verify",
+            "original": job_fingerprint(self.original_job),
+            "transformed": job_fingerprint(self.transformed_job),
+            "skip": sorted(self.skip),
+        }
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _app_verification(
+    app: AppSpec,
+    report: PipelineReport,
+    text: Optional[str],
+    label: str,
+    cost_model: CostModel,
+    engine_mode: str,
+) -> _Verification:
+    """The §4 check of ``app`` against its transformation ``report``
+    (``text`` its unparsed program, ``label`` the variant's): both
+    programs on the IDEAL network under the default collectives.  A
+    sweep and a compare of the same app build the same jobs, so they
+    share one verdict entry."""
+
+    def job(program: Union[str, SourceFile], text, name) -> ClusterJob:
+        return ClusterJob(
+            program=program,
+            nranks=app.nranks,
+            network=IDEAL,
+            cost_model=cost_model,
+            externals=app.externals,
+            label=f"{app.name}/verify-{name}",
+            engine_mode=engine_mode,
+            text=text,
+        )
+
+    return _Verification(
+        name=app.name,
+        skip=report.dead_arrays,
+        original_job=job(app.source, None, "original"),
+        transformed_job=job(report.source, text, label),
+    )
 
 
 # ---------------------------------------------------------------- cache
@@ -625,16 +666,12 @@ class SweepCache:
 
     def _entry_stale(self, payload: Optional[Dict[str, Any]]) -> bool:
         """A prunable entry: corrupt, or written under a different
-        engine version — or, for measurements (whose fingerprints fold
-        the symmetry-recorder version), a different/unrecorded symmetry
-        version.  Verify verdicts are keyed by engine version only."""
-        if payload is None:
-            return True
-        if payload.get("engine") != ENGINE_VERSION:
-            return True
-        if payload.get("kind") == "measurement":
-            return payload.get("symmetry") != SYMMETRY_VERSION
-        return False
+        engine or symmetry-recorder version (every key folds in both)."""
+        return (
+            payload is None
+            or payload.get("engine") != ENGINE_VERSION
+            or payload.get("symmetry") != SYMMETRY_VERSION
+        )
 
     def info(self) -> Dict[str, Any]:
         """Inventory: entry/kind counts, on-disk bytes, per-version
@@ -712,31 +749,6 @@ def _as_cache(
     if cache is None or isinstance(cache, SweepCache):
         return cache
     return SweepCache(cache)
-
-
-def _verification_key(
-    prepared: PreparedApp, text: Optional[str], cost_model: CostModel
-) -> Optional[str]:
-    """Content-address of one equivalence check (None = uncacheable);
-    ``text`` is the transformed program's source text.
-
-    The §4 verdict is a pure function of the two program texts, the rank
-    count, and the cost model under one engine version — the same §3.2
-    argument that makes measurement caching sound.
-    """
-    if prepared.app.externals is not None:
-        return None
-    payload = {
-        "kind": "verify",
-        "engine": ENGINE_VERSION,
-        "original": prepared.app.source,
-        "transformed": text,
-        "nranks": prepared.app.nranks,
-        "cost": cost_model.canonical_params(),
-        "skip": sorted(prepared.transform.dead_arrays),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 # ------------------------------------------------------------ expansion
@@ -860,41 +872,19 @@ def expand_spec(
                         prepared[label] = (None, None)
                         continue
                     report, text = _transform(app, pipeline, options, memo)
-                    pa = PreparedApp(
-                        app,
-                        options=options,
-                        variant=pipeline,
-                        verify=False,
-                        cost_model=first_cost,
-                        report=report,
-                    )
+                    pa = PreparedApp(app, report, pipeline)
                     prepared[label] = (pa, text)
                     if fallback is None:
-                        fallback = pa.transform
-                    if spec.verify and pa.transform.changed:
+                        fallback = report
+                    if spec.verify and report.changed:
                         verifications.append(
-                            _Verification(
-                                prepared=pa,
-                                original_job=ClusterJob(
-                                    program=app.source,
-                                    nranks=nr,
-                                    network=IDEAL,
-                                    cost_model=first_cost,
-                                    externals=app.externals,
-                                    label=f"{app.name}/verify-original",
-                                ),
-                                transformed_job=ClusterJob(
-                                    program=pa.transform.source,
-                                    nranks=nr,
-                                    network=IDEAL,
-                                    cost_model=first_cost,
-                                    externals=app.externals,
-                                    label=f"{app.name}/verify-{label}",
-                                    text=text,
-                                ),
-                                key=_verification_key(
-                                    pa, text, first_cost
-                                ),
+                            _app_verification(
+                                app,
+                                report,
+                                text,
+                                label,
+                                first_cost,
+                                spec.engine_mode or "auto",
                             )
                         )
                 for scale in spec.cpu_scales:
@@ -930,19 +920,21 @@ def expand_spec(
                                             ),
                                             "cpu_scale": scale,
                                         },
-                                        program=program,
-                                        nranks=nr,
-                                        network=model,
-                                        collective=coll,
-                                        cost_model=cost,
-                                        detect_races=spec.detect_races,
-                                        label=f"{app.name}/{label}",
-                                        externals=app.externals,
+                                        job=ClusterJob(
+                                            program=program,
+                                            nranks=nr,
+                                            network=model,
+                                            cost_model=cost,
+                                            detect_races=spec.detect_races,
+                                            externals=app.externals,
+                                            label=f"{app.name}/{label}",
+                                            collective=coll,
+                                            variant=variant_id,
+                                            engine_mode=spec.engine_mode
+                                            or "auto",
+                                            text=text,
+                                        ),
                                         transform=transform,
-                                        text=text,
-                                        variant_id=variant_id,
-                                        engine_mode=spec.engine_mode
-                                        or "auto",
                                     )
                                 )
     return points, verifications
@@ -1045,10 +1037,10 @@ class SweepResult:
 
 # --------------------------------------------------------------- stages
 #
-# A sweep runs in three stages: plan (expand, fingerprint, dedupe, probe
-# the cache), execute (run what the cache lacked) and fold (measure,
-# store, check equivalence, assemble).  :func:`_execute_sweep` runs the
-# execute stage as one ``run_many`` batch; the sweep server
+# Every plan runs in three stages: plan (expand, fingerprint, dedupe,
+# probe the cache), execute (run what the cache lacked) and fold
+# (measure, store, check equivalence, assemble).  :func:`_execute_sweep`
+# runs the execute stage as one ``run_many`` batch; the sweep server
 # (:mod:`repro.serve.server`) runs it job by job behind its coalescing
 # and claim layers.  Both share the plan and fold stages, and with them
 # the one reader and writer of cache payloads.
@@ -1073,15 +1065,19 @@ def read_measurement(
         return None
 
 
-def read_verdict(cache: SweepCache, key: str) -> bool:
-    """True when the cache holds a passed equivalence check under
-    ``key``."""
+def read_verdict(cache: SweepCache, key: str) -> Optional[EquivalenceReport]:
+    """The passed equivalence check cached under ``key`` as its report,
+    or ``None`` (a miss, or an entry that does not decode, which counts
+    as ``corrupt``)."""
     payload = cache.get(key)
-    return (
-        payload is not None
-        and payload.get("kind") == "verify"
-        and payload.get("equivalent") is True
-    )
+    if payload is None or payload.get("kind") != "verify":
+        return None
+    try:
+        report = EquivalenceReport(**payload["report"])
+    except (TypeError, KeyError):
+        cache.count("corrupt")
+        return None
+    return report if report.equivalent is True else None
 
 
 #: a point's work key: its fingerprint, or its index in
@@ -1091,8 +1087,8 @@ WorkKey = Union[str, int]
 
 @dataclass
 class SweepPlan:
-    """A planned sweep (:func:`plan_sweep`) and the ledger its execute
-    and fold stages fill in.
+    """A plan (:func:`plan_points`, :func:`plan_sweep`) and the ledger
+    its execute and fold stages fill in.
 
     ``pending`` holds one representative point per work key the cache
     could not serve, ``verifications`` the equivalence checks whose
@@ -1123,7 +1119,7 @@ class SweepPlan:
         """The execute stage as one batch: every pending point, then
         both runs of every pending check (the order :meth:`fold`
         reads)."""
-        batch = [point.job() for point in self.pending.values()]
+        batch = [point.job for point in self.pending.values()]
         for ver in self.verifications:
             batch += [ver.original_job, ver.transformed_job]
         return batch
@@ -1141,7 +1137,7 @@ class SweepPlan:
         cache under its fingerprint."""
         point = self.pending[key]
         m = measurement_from_run(
-            run, network=point.network, collective=point.collective
+            run, network=point.job.network, collective=point.job.collective
         )
         if self.cache is not None and point.fingerprint is not None:
             self.cache.put(
@@ -1161,24 +1157,40 @@ class SweepPlan:
         ver: _Verification,
         original: ClusterRun,
         transformed: ClusterRun,
-    ) -> None:
-        """Check one pending verification's runs (raises on mismatch)
-        and store the verdict."""
-        ver.prepared.check_equivalence(original, transformed)
-        if self.cache is not None and ver.key is not None:
+    ) -> EquivalenceReport:
+        """Check one pending verification's runs and store a passed
+        verdict with its report (:meth:`result` raises on a strict
+        check's mismatch)."""
+        self.stats.verify_simulated += 2
+        ver.report = PreparedApp.check_equivalence(
+            original, transformed, ver.skip
+        )
+        if (
+            self.cache is not None
+            and ver.key is not None
+            and ver.report.equivalent
+        ):
             self.cache.put(
                 ver.key,
                 {
                     "kind": "verify",
-                    "equivalent": True,
-                    "app": ver.prepared.app.name,
-                    "nranks": ver.prepared.app.nranks,
+                    "app": ver.name,
+                    "nranks": ver.original_job.nranks,
+                    "report": asdict(ver.report),
                 },
             )
-        self.stats.verify_simulated += 2
+        return ver.report
 
     def result(self) -> SweepResult:
-        """Every point's run, in point order, once all keys resolved."""
+        """Every point's run, in point order, once all keys resolved.
+
+        Raises on the first strict verification that failed."""
+        for ver in self.verifications:
+            if ver.strict and not ver.report.equivalent:
+                raise ReproError(
+                    f"transformed {ver.name!r} is NOT equivalent:\n  "
+                    + "\n  ".join(ver.report.mismatches[:5])
+                )
         runs: List[SweepRun] = []
         hits = misses = deduplicated = 0
         seen: set = set()
@@ -1196,7 +1208,7 @@ class SweepPlan:
             runs.append(
                 SweepRun(
                     axes=point.axes,
-                    measurement=replace(m, label=point.label),
+                    measurement=replace(m, label=point.job.label),
                     cached=cached,
                     fingerprint=point.fingerprint,
                     transform=point.transform,
@@ -1208,38 +1220,36 @@ class SweepPlan:
         return SweepResult(runs=runs, stats=self.stats, specs=self.specs)
 
 
-def plan_sweep(
-    specs: Union[SweepSpec, Sequence[SweepSpec]],
+def plan_points(
+    points: Sequence[SweepPoint],
+    verifications: Sequence[_Verification],
     cache: Union[None, str, Path, SweepCache],
-    memo: Optional[_TransformMemo] = None,
+    specs: Sequence[SweepSpec] = (),
 ) -> SweepPlan:
-    """Stage 1: expand every spec (through ``memo`` when given),
-    fingerprint every point, dedupe points by fingerprint, and probe
-    the cache for measurements and verification verdicts (counting its
-    hits and misses)."""
-    if isinstance(specs, SweepSpec):
-        specs = [specs]
-    specs = list(specs)
+    """Stage 1 over explicit work: fingerprint every point, dedupe
+    points by fingerprint, key every verification, and probe the cache
+    for measurements and verdicts (counting its hits and misses).
+
+    Every verb plans through here: :func:`plan_sweep` with a spec's
+    expansion, :class:`repro.api.Session` with the points and checks of
+    one measure, compare or verify.  Points with externals stay pending
+    under their index, uncached.
+    """
     cache = _as_cache(cache)
-    points: List[SweepPoint] = []
-    verifications: List[_Verification] = []
-    for spec in specs:
-        pts, vers = expand_spec(spec, memo)
-        points.extend(pts)
-        verifications.extend(vers)
+    points = list(points)
     plan = SweepPlan(
-        specs=specs,
+        specs=list(specs),
         points=points,
         cache=cache,
         stats=SweepStats(points=len(points), verify_checks=len(verifications)),
     )
 
     for index, point in enumerate(points):
-        if point.externals is not None:
+        if point.job.externals is not None:
             plan.stats.uncacheable += 1
             plan.pending[index] = point
             continue
-        fp = point.fingerprint = job_fingerprint(point.job())
+        fp = point.fingerprint = job_fingerprint(point.job)
         if fp in plan.resolved or fp in plan.pending:
             continue
         m = read_measurement(cache, fp) if cache is not None else None
@@ -1252,10 +1262,12 @@ def plan_sweep(
         plan.pending[fp] = point
 
     for ver in verifications:
+        ver.key = ver.verdict_key()
         if cache is None or ver.key is None:
             plan.verifications.append(ver)
-        elif read_verdict(cache, ver.key):
-            ver.prepared.equivalent = True
+            continue
+        ver.report = read_verdict(cache, ver.key)
+        if ver.report is not None:
             plan.stats.verify_hits += 1
             cache.count("verify_hits")
         else:
@@ -1264,32 +1276,45 @@ def plan_sweep(
     return plan
 
 
-def _execute_sweep(
+def plan_sweep(
     specs: Union[SweepSpec, Sequence[SweepSpec]],
-    *,
-    cache: Union[None, str, Path, SweepCache] = None,
-    executor=None,
+    cache: Union[None, str, Path, SweepCache],
     memo: Optional[_TransformMemo] = None,
+) -> SweepPlan:
+    """Stage 1 of a sweep: expand every spec (through ``memo`` when
+    given), then :func:`plan_points` over the expansion."""
+    if isinstance(specs, SweepSpec):
+        specs = [specs]
+    specs = list(specs)
+    points: List[SweepPoint] = []
+    verifications: List[_Verification] = []
+    for spec in specs:
+        pts, vers = expand_spec(spec, memo)
+        points.extend(pts)
+        verifications.extend(vers)
+    return plan_points(points, verifications, cache, specs)
+
+
+def _execute_sweep(
+    plan: SweepPlan,
+    *,
+    executor=None,
     programs: Optional[ProgramMemo] = None,
 ) -> SweepResult:
-    """Execute one or more sweep specs: plan, one ``run_many`` batch,
-    fold.
+    """Stages 2 and 3 of a plan: its pending work as one ``run_many``
+    batch, folded.
 
     A live ``executor`` (a :class:`repro.api.Session`'s persistent
     pool) shards the simulations, verification runs riding in the same
     batch, and is left running afterwards; without one the batch runs
-    serially.  ``cache`` (a directory path or a
-    :class:`SweepCache`) serves previously-simulated points without
-    re-simulating; ``None`` disables caching entirely.  Points whose
-    fingerprints coincide are simulated once per batch regardless of
-    caching.  ``memo`` is the session's transform memo (see
-    :func:`expand_spec`), ``programs`` its program memo (DESIGN.md
-    §7.4), through which the serial batch parses, generates code for
-    and records each program once.
+    serially, through ``programs`` (a session's program memo, DESIGN.md
+    §7.4) when given, which parses, generates code for and records
+    each program once.
 
-    This is the engine behind :meth:`repro.api.Session.sweep`.
+    This is the one executor behind every :class:`repro.api.Session`
+    verb that simulates through a plan (measure, compare, verify,
+    sweep).
     """
-    plan = plan_sweep(specs, cache, memo)
     batch = plan.jobs()
     if batch:
         runs = run_many(batch, executor=executor, programs=programs)

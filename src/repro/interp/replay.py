@@ -26,8 +26,9 @@ The recorded data is reassembled into the same
 :class:`~repro.interp.runner.ClusterRun` shape full interpretation
 produces: per-rank print records expanded from rank vectors, per-rank
 final arrays from shadows (rank-uniform arrays share one ndarray across
-ranks — treat them read-only).  A :class:`Recording` is what survives
-of a recorder after a successful run; a session's program memo keeps
+ranks, which is why every run's arrays are read-only).  A
+:class:`Recording` is what survives of a recorder after a successful
+run; a session's program memo keeps
 one per (program, rank count, cost model) and hands it to every
 network and collective suite that replays it (DESIGN.md §7.4).
 """

@@ -75,12 +75,21 @@ class ClusterRun:
     per-rank contents (DESIGN.md §10): timing, stats, and outputs are
     still exact, but the flagged run's ``arrays`` hold deterministic
     representatives, so correctness checkers must not compare them.
+
+    The arrays are read-only: the replay engine hands every rank the
+    same ndarray for an array all ranks agree on, so a write would
+    change every rank at once; a write raises on either engine.
     """
 
     result: SimResult
     outputs: List[List[Tuple[Any, ...]]]  # per-rank print records
     arrays: List[Dict[str, np.ndarray]]  # per-rank final array contents
     data_approximate: bool = False
+
+    def __post_init__(self) -> None:
+        for arrays in self.arrays:
+            for data in arrays.values():
+                data.flags.writeable = False
 
     @property
     def time(self) -> float:

@@ -53,7 +53,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from ..api.context import UNSET, CompareRequest, VerifyRequest
 from ..api.session import Session
 from ..apps import build_app
-from ..errors import OverloadError, ReproError, RequestError
+from ..errors import OverloadError, ReproError, RequestError, ServeError
 from ..harness.sweep import (
     CLAIM_STALE_AFTER,
     SweepCache,
@@ -429,15 +429,9 @@ class SweepServer:
     async def _sweep(
         self, specs: List[SweepSpec], send=None, request_id: str = ""
     ) -> Tuple[SweepResult, Dict[str, int]]:
-        """Run ``specs`` through the shared sweep stages (§7) with the
-        three dedup layers (§11.2) around their execute stage.
-
-        Returns the :class:`~repro.harness.sweep.SweepResult` and the
-        serve-only counters (``peer_served``, ``coalesced``).  With
-        ``send``, streams ``accepted`` and one ``point`` event per
-        point as its work key resolves.  Sweep requests and tune rounds
-        both come through here.
-        """
+        """Plan ``specs`` as :meth:`~repro.api.Session.sweep` does and
+        run the plan (:meth:`_run_plan`).  Sweep requests and tune
+        rounds both come through here."""
         specs = self.session._bind_specs(specs)
         try:
             # expansion transforms programs: CPU work kept off the loop
@@ -449,7 +443,20 @@ class SweepServer:
             )
         except ReproError as exc:
             raise RequestError(f"sweep expansion failed: {exc}") from None
+        return await self._run_plan(plan, send, request_id)
 
+    async def _run_plan(
+        self, plan: SweepPlan, send=None, request_id: str = ""
+    ) -> Tuple[SweepResult, Dict[str, int]]:
+        """Run one plan's execute and fold stages (§7) with the three
+        dedup layers (§11.2) around its execute stage.
+
+        Returns the :class:`~repro.harness.sweep.SweepResult` and the
+        serve-only counters (``peer_served``, ``coalesced``).  With
+        ``send``, streams ``accepted`` and one ``point`` event per
+        point as its work key resolves.  Every verb that simulates
+        (sweep, compare, verify, tune) runs its plan here.
+        """
         total = len(plan.points)
         # admission control (§11 backpressure): refuse before simulating
         if self._pending_points + total > self.max_pending_points:
@@ -530,7 +537,7 @@ class SweepServer:
         point = plan.pending[key]
 
         async def simulate():
-            run = await self._run_job(point.job(), plan.stats)
+            run = await self._run_job(point.job, plan.stats)
             return plan.fold_run(key, run)
 
         if point.fingerprint is None:  # externals: uncacheable
@@ -548,21 +555,20 @@ class SweepServer:
         await settle(key, source)
 
     async def _verification(self, plan: SweepPlan, ver) -> None:
-        """Resolve one pending equivalence check of ``plan`` (raises on
-        mismatch)."""
+        """Resolve one pending equivalence check of ``plan`` into its
+        report (the plan's result raises on a strict mismatch)."""
 
         async def simulate():
             original, transformed = await asyncio.gather(
                 self._run_job(ver.original_job, plan.stats),
                 self._run_job(ver.transformed_job, plan.stats),
             )
-            plan.fold_verification(ver, original, transformed)
-            return True
+            return plan.fold_verification(ver, original, transformed)
 
         if ver.key is None:  # externals: uncacheable
             await simulate()
             return
-        _, source, _ = await self._once(
+        ver.report, source, _ = await self._once(
             self._inflight_verify,
             ver.key,
             lambda cache: read_verdict(cache, ver.key),
@@ -640,6 +646,21 @@ class SweepServer:
 
     # ----------------------------------------------- compare and verify
 
+    async def _planned(self, verb: str, build) -> Any:
+        """Plan a compare or verify with ``build`` on a worker thread
+        (the Session's own plan helpers), run it through
+        :meth:`_run_plan`, and fold the result.  A library error becomes
+        a request error naming ``verb``; admission refusals stay
+        overload errors."""
+        try:
+            plan, finish = await asyncio.to_thread(build)
+            result, _ = await self._run_plan(plan)
+            return finish(result)
+        except ServeError:
+            raise
+        except ReproError as exc:
+            raise RequestError(f"{verb} failed: {exc}") from None
+
     async def _handle_compare(self, request: ServeRequest, send) -> None:
         self.stats.compares += 1
         body = dict(request.body)
@@ -660,13 +681,13 @@ class SweepServer:
         if not isinstance(name, str):
             raise RequestError("compare needs 'app': a workload name")
 
-        def work():
+        def build():
             app = build_app(
                 name,
                 nranks=body.get("nranks", 8),
                 **dict(body.get("app_kwargs", {})),
             )
-            return self.session.compare(
+            return self.session._plan_compare(
                 CompareRequest(
                     app=app,
                     network=body.get("network"),
@@ -678,10 +699,7 @@ class SweepServer:
                 )
             )
 
-        try:
-            pair = await asyncio.to_thread(work)
-        except ReproError as exc:
-            raise RequestError(f"compare failed: {exc}") from None
+        pair = await self._planned("compare", build)
         await send(
             event(
                 "result",
@@ -716,8 +734,8 @@ class SweepServer:
         if not isinstance(program, str):
             raise RequestError("verify needs 'program': source text")
 
-        def work():
-            return self.session.verify(
+        def build():
+            return self.session._plan_verify(
                 VerifyRequest(
                     program=program,
                     nranks=body.get("nranks", 8),
@@ -730,10 +748,7 @@ class SweepServer:
                 )
             )
 
-        try:
-            result = await asyncio.to_thread(work)
-        except ReproError as exc:
-            raise RequestError(f"verify failed: {exc}") from None
+        result = await self._planned("verify", build)
         eq = result.equivalence
         await send(
             event(

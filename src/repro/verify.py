@@ -20,7 +20,7 @@ only exist on the transformed side and are ignored by construction
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -69,12 +69,16 @@ def compare_runs(
     arrays: Optional[Sequence[str]] = None,
     max_report: int = 20,
 ) -> EquivalenceReport:
-    """Compare two completed cluster runs rank by rank.
+    """Compare two completed cluster runs rank by rank — the one §4
+    rule every check applies (sweeps, compare, verify and
+    :func:`verify_equivalence`).
 
-    Runs flagged ``data_approximate`` (replay-engine shadow budget
-    exceeded, DESIGN.md §10) are refused outright: their arrays hold
-    deterministic representatives, not real per-rank contents, so a
-    comparison would be meaningless rather than merely failing.
+    A race warning of the transformed run (a send buffer modified while
+    in flight) counts as a mismatch.  Runs flagged ``data_approximate``
+    (replay-engine shadow budget exceeded, DESIGN.md §10) are refused
+    outright: their arrays hold deterministic representatives, not real
+    per-rank contents, so a comparison would be meaningless rather than
+    merely failing.
     """
     for which, run in (("original", original), ("transformed", transformed)):
         if run.data_approximate:
@@ -151,6 +155,10 @@ def compare_runs(
         if len(mismatches) >= max_report:
             break
 
+    # in-flight send-buffer modification warnings from the simulator's
+    # race detector are mismatches: a transformation that triggers them
+    # is unsafe even if the data raced to the right values this time
+    mismatches.extend(w for w in transformed.warnings if "in flight" in w)
     return EquivalenceReport(
         equivalent=not mismatches,
         mismatches=mismatches,
@@ -182,10 +190,7 @@ def verify_equivalence(
     collective algorithms both runs use (the §4 claim must hold whatever
     schedule implements the original's alltoall).  With ``check=True`` a
     mismatch raises :class:`~repro.errors.VerificationError` instead of
-    returning a failing report.  In-flight send-buffer modification
-    warnings from the simulator's race detector are treated as
-    mismatches: a transformation that triggers them is unsafe even if
-    the data raced to the right values this time.
+    returning a failing report.
     """
     run_a = execute_job(
         ClusterJob(
@@ -208,62 +213,6 @@ def verify_equivalence(
         )
     )
     report = compare_runs(run_a, run_b, skip=skip, arrays=arrays)
-    races = [w for w in run_b.warnings if "in flight" in w]
-    if races:
-        report.mismatches.extend(races)
-        report.equivalent = False
     if check:
         report.raise_on_mismatch()
     return report
-
-
-def verify_transform(
-    original: Union[str, SourceFile],
-    nranks: int,
-    *,
-    oracle=None,
-    variant=None,
-    options=None,
-    network: NetworkModel = IDEAL,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-    externals: Optional[ExternalRegistry] = None,
-    check: bool = False,
-    collective: CollectiveSpec = None,
-) -> Tuple[EquivalenceReport, "PipelineReport"]:
-    """Transform ``original`` and verify the result in one call.
-
-    The transformation runs through the variant registry
-    (:mod:`repro.transform.pipeline`): ``variant`` names a registered
-    pipeline (default ``"prepush"``) and ``options`` is a
-    :class:`~repro.transform.options.TransformOptions` (``None`` = the
-    defaults).  Returns ``(equivalence, transform_report)`` — the
-    report is a
-    :class:`~repro.transform.pipeline.PipelineReport` carrying the
-    per-pass chain.  Raises
-    :class:`~repro.errors.VerificationError` when the variant left the
-    program unchanged (there would be nothing to verify).  This is the
-    single copy of the transform-then-check workflow;
-    :meth:`repro.api.Session.verify` delegates here.
-    """
-    from .transform.pipeline import resolve_variant
-
-    pipeline = resolve_variant(variant if variant is not None else "prepush")
-    report = pipeline.run(original, options, oracle=oracle)
-    if not report.changed:
-        raise VerificationError(
-            f"no transformable communication site found (variant "
-            f"{pipeline.name or 'pipeline'!r}):\n  "
-            + "\n  ".join(r.reason for r in report.rejections)
-        )
-    equivalence = verify_equivalence(
-        original,
-        report.source,
-        nranks,
-        network=network,
-        cost_model=cost_model,
-        externals=externals,
-        skip=report.dead_arrays,
-        collective=collective,
-        check=check,
-    )
-    return equivalence, report

@@ -17,10 +17,14 @@ from repro import (
 from repro.apps import build_app
 from repro.errors import ReproError, SimulationError, VerificationError
 from repro.harness.figures import figure1
-from repro.harness.sweep import SweepSpec, _execute_sweep
+from repro.harness.runner import measurement_from_run
+from repro.harness.sweep import SweepSpec, _execute_sweep, plan_sweep
+from repro.interp.runner import ClusterJob, execute_job
 from repro.runtime import network as network_registry
 from repro.runtime.costmodel import DEFAULT_COST_MODEL
-from repro.transform import TransformOptions
+from repro.runtime.network import IDEAL, resolve_model
+from repro.transform import TransformOptions, get_variant
+from repro.verify import compare_runs
 from tests.programs import direct_2d
 
 NRANKS = 4
@@ -92,10 +96,14 @@ class TestRequests:
         src = direct_2d()
         s = Session(network="gmnet")
         got = s.measure(Job(program=src, nranks=NRANKS))
-        # the engine core the retired kwargs measure shim ran, no Session
-        from repro.harness.runner import _measure_impl
-
-        legacy = _measure_impl(src, NRANKS, "gmnet")
+        # the engine core, composed by hand: one job, folded
+        network = resolve_model("gmnet")
+        legacy = measurement_from_run(
+            execute_job(
+                ClusterJob(program=src, nranks=NRANKS, network=network)
+            ),
+            network=network,
+        )
         assert got.to_dict() == legacy.to_dict()
 
     def test_job_overrides_beat_session_defaults(self):
@@ -125,12 +133,30 @@ class TestRequests:
         s = Session(network="gmnet")
         options = TransformOptions(tile_size=4)
         got = s.compare(CompareRequest(app=app, options=options))
-        # the PreparedApp path the retired kwargs run_pair shim ran
-        from repro.harness.runner import PreparedApp
+        # the engine core, composed by hand: transform, simulate both
+        # programs on the network, fold each run, check §4 on IDEAL
+        report = get_variant("prepush").run(app.source, options)
+        network = resolve_model("gmnet")
 
-        legacy = PreparedApp(app, options=options).run_on("gmnet")
-        assert got.original.to_dict() == legacy.original.to_dict()
-        assert got.prepush.to_dict() == legacy.prepush.to_dict()
+        def run(program, net=network):
+            return execute_job(
+                ClusterJob(program=program, nranks=NRANKS, network=net)
+            )
+
+        def measure(program, label):
+            return measurement_from_run(
+                run(program), network=network, label=f"{app.name}/{label}"
+            )
+
+        original = measure(app.source, "original")
+        prepush = measure(report.source, "prepush")
+        assert got.original.to_dict() == original.to_dict()
+        assert got.prepush.to_dict() == prepush.to_dict()
+        legacy = compare_runs(
+            run(app.source, IDEAL),
+            run(report.source, IDEAL),
+            skip=report.dead_arrays,
+        )
         assert got.equivalent and legacy.equivalent
 
     def test_compare_accepts_bare_appspec(self):
@@ -192,7 +218,7 @@ class TestSweepAmortization:
         assert pool_after_first is pool_after_second
 
     def test_sweep_matches_legacy_engine(self, tmp_path):
-        legacy = _execute_sweep(small_spec())
+        legacy = _execute_sweep(plan_sweep(small_spec(), None))
         with Session() as s:
             via_session = s.sweep(small_spec())
         assert [r.measurement.to_dict() for r in via_session.runs] == [

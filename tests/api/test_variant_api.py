@@ -119,40 +119,39 @@ class TestJobVariant:
 
 class TestPrepareAndCompare:
     def test_prepare_surfaces_pass_chain(self, app):
-        prepared = Session().prepare(app)
-        assert [p.name for p in prepared.transform.passes] == [
+        pair = Session().compare(app)
+        assert [p.name for p in pair.transform.passes] == [
             "interchange",
             "tile",
             "commgen",
             "indirect-elim",
         ]
-        assert prepared.transform.snapshots  # intermediates retained
-        assert "pipeline prepush" in prepared.transform.describe_passes()
+        assert "pipeline prepush" in pair.transform.describe_passes()
+        # compare transforms through the session memo: the intermediate
+        # texts are Session.transform's to capture
+        assert Session().transform(app.source).snapshots
 
     def test_prepare_inherits_context_variant(self, indirect_app):
         session = Session(variant="tile-only")
-        prepared = session.prepare(indirect_app)
-        # tile-only cannot transform the indirect kernel; prepare must
-        # surface that as an unchanged program, not raise
-        assert not prepared.transform.transformed
+        pair = session.compare(indirect_app)
+        # tile-only cannot transform the indirect kernel; compare must
+        # measure it as an unchanged program, not raise
+        assert not pair.transform.transformed
+        assert pair.original.time == pair.prepush.time
 
     def test_request_variant_overrides_context(self, app):
         session = Session(variant="tile-only")
-        prepared = session.prepare(
-            CompareRequest(app=app, variant="prepush")
-        )
-        assert prepared.transform.pipeline == "prepush"
+        pair = session.compare(CompareRequest(app=app, variant="prepush"))
+        assert pair.transform.pipeline == "prepush"
 
     def test_options_and_legacy_kwargs_conflict(self, app):
         # TransformOptions is the only spelling of the knobs: the
         # retired tile_size= field no longer exists to conflict with it
         with pytest.raises(TypeError, match="tile_size"):
-            Session().prepare(
-                CompareRequest(
-                    app=app,
-                    tile_size=4,
-                    options=TransformOptions(tile_size=2),
-                )
+            CompareRequest(
+                app=app,
+                tile_size=4,
+                options=TransformOptions(tile_size=2),
             )
 
     def test_compare_with_options_object(self, app):
@@ -175,7 +174,6 @@ end program plain
 """
 
     def test_full_custom_pipeline_raises_on_siteless_program(self):
-        from repro.harness.runner import PreparedApp
         from repro.transform.pipeline import (
             CommGenPass,
             IndirectElimPass,
@@ -198,15 +196,15 @@ end program plain
             name="full-custom",
         )
         with pytest.raises(ReproError, match="not transformed"):
-            PreparedApp(app, variant=full, verify=False)
+            Session().compare(CompareRequest(app=app, variant=full))
         # the same pipeline marked partial measures the program as-is
         partial = Pipeline(
             (TilePass(), CommGenPass(), IndirectElimPass()),
             name="partial-custom",
             partial=True,
         )
-        prepared = PreparedApp(app, variant=partial, verify=False)
-        assert not prepared.transform.transformed
+        pair = Session().compare(CompareRequest(app=app, variant=partial))
+        assert not pair.transform.transformed
 
     def test_job_variant_raises_when_nothing_transforms(self):
         with pytest.raises(ReproError, match="transformed nothing"):

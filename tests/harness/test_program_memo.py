@@ -8,7 +8,8 @@ contract: a sweep over networks parses, generates and records each
 program once; results, outputs and arrays equal memo-less runs; the
 memo stays within its bound; a memoized refusal behaves as a fresh one;
 no run can write into a shared recording; sessions share nothing; and
-only sweeps use it.
+the planned verbs (measure, compare, verify, sweep) use it while the raw
+run paths do not.
 """
 
 import dataclasses
@@ -311,6 +312,9 @@ class TestNoAliasing:
         first = execute_job(job, memo)
         for arrays in first.arrays:
             for data in arrays.values():
+                # a run's arrays are read-only; a caller that forces a
+                # write still must not reach the memo's recording
+                data.flags.writeable = True
                 data[...] = -1
         second = execute_job(dataclasses.replace(job, network="gmnet"), memo)
         third = execute_job(job, memo)
@@ -339,9 +343,18 @@ class TestScope:
         job = Job(program=SYMMETRIC_SRC, nranks=4)
         session.run(job)
         session.run_many([job, job])
-        session.measure(job)
         assert len(session._programs._entries) == 0
-        assert counts["parse"] == 4
+        assert counts["parse"] == 3
+
+    def test_measure_runs_through_the_memo(self, counts):
+        session = Session()
+        job = Job(program=SYMMETRIC_SRC, nranks=4)
+        first = session.measure(job)
+        second = session.measure(dataclasses.replace(job, network="ideal"))
+        assert list(session._programs._entries) == [SYMMETRIC_SRC]
+        assert counts["parse"] == 1
+        assert [n for k, n in counts.items() if k[0] == "record"] == [1]
+        assert first.network != second.network
 
     def test_externals_bypass_the_memo(self):
         memo = ProgramMemo(TRANSFORM_MEMO_SIZE)

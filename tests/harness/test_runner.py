@@ -1,4 +1,4 @@
-"""Measurement runner: PreparedApp, PairResult, and the figure functions
+"""Measurements, Session.compare's PairResult, and the figure functions
 at miniature sizes (the real sizes run in benchmarks/)."""
 
 import dataclasses
@@ -18,7 +18,6 @@ from repro.harness.figures import (
     ablation_workloads,
     figure1,
 )
-from repro.harness.runner import PreparedApp
 from repro.runtime.network import IDEAL, MPICH_GM
 from repro.transform import TransformOptions
 
@@ -72,28 +71,48 @@ class TestMeasure:
         assert m2.time != m.time
 
 
-class TestPreparedApp:
-    def test_reusable_across_networks(self, small_app):
-        prepared = PreparedApp(
-            small_app, options=TransformOptions(tile_size=4)
+def compare(app, network=MPICH_GM, **request):
+    return Session().compare(
+        CompareRequest(
+            app=app,
+            network=network,
+            options=TransformOptions(tile_size=4),
+            **request,
         )
-        a = prepared.run_on(MPICH_GM)
-        b = prepared.run_on(IDEAL)
+    )
+
+
+class TestPreparedApp:
+    """A workload transformed once and measured through compare."""
+
+    def test_reusable_across_networks(self, small_app):
+        a = compare(small_app, MPICH_GM)
+        b = compare(small_app, IDEAL)
         assert a.network == "mpich-gm"
         assert b.network == "ideal"
         assert a.prepush.bytes_sent == b.prepush.bytes_sent
 
-    def test_verify_on_construction(self, small_app):
-        prepared = PreparedApp(
-            small_app, options=TransformOptions(tile_size=4), verify=True
+    def test_verify_on_construction(self, small_app, tmp_path):
+        session = Session(cache_dir=tmp_path)
+        pair = session.compare(
+            CompareRequest(
+                app=small_app,
+                options=TransformOptions(tile_size=4),
+                verify=True,
+            )
         )
-        assert prepared.equivalent
+        assert pair.equivalent
+        assert session.cache.stats.verify_misses == 1
 
     def test_untransformable_app_raises(self):
         app = build_app("fft", n=8, nranks=4, steps=1, stages=2)
         # tile size 100 > trip count: nothing transformable
         with pytest.raises(ReproError, match="not transformed"):
-            PreparedApp(app, options=TransformOptions(tile_size=100))
+            Session().compare(
+                CompareRequest(
+                    app=app, options=TransformOptions(tile_size=100)
+                )
+            )
 
     def test_pair_result_properties(self, small_app):
         pair = Session().compare(
@@ -128,11 +147,8 @@ class TestPreparedApp:
         assert real_over_zero.speedup == float("inf")
 
     def test_run_on_collective_knob(self, small_app):
-        prepared = PreparedApp(
-            small_app, options=TransformOptions(tile_size=4)
-        )
-        default = prepared.run_on(MPICH_GM)
-        bruck = prepared.run_on(MPICH_GM, collective={"alltoall": "bruck"})
+        default = compare(small_app)
+        bruck = compare(small_app, collective={"alltoall": "bruck"})
         # the original contains the alltoall: its schedule moves; the
         # prepush variant replaced it with point-to-point, so it doesn't
         assert bruck.original.time != default.original.time

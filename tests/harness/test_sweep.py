@@ -367,10 +367,10 @@ class TestEngineModeKeys:
         assert verifications == []
         cache = SweepCache(tmp_path / "c")
         for point in points:
-            fp = job_fingerprint(point.job())
+            fp = job_fingerprint(point.job)
             synthetic = Measurement(
-                label=point.label,
-                network=point.network.name,
+                label=point.job.label,
+                network=point.job.network.name,
                 time=1.25,
                 compute_time=1.0,
                 wait_time=0.125,

@@ -79,11 +79,11 @@ def plan_digest(plan):
             (
                 p.axes,
                 p.fingerprint,
-                p.text,
-                unparse(p.program)
-                if isinstance(p.program, SourceFile)
-                else p.program,
-                p.variant_id,
+                p.job.text,
+                unparse(p.job.program)
+                if isinstance(p.job.program, SourceFile)
+                else p.job.program,
+                p.job.variant,
             )
             for p in plan.points
         ],
@@ -147,7 +147,9 @@ class TestWarmSessions:
         session = Session()
         session.sweep(spec(verify=True, engine_mode="auto"))
         memoized = session.sweep(spec(verify=True, engine_mode="auto"))
-        fresh = _execute_sweep(spec(verify=True, engine_mode="auto"))
+        fresh = _execute_sweep(
+            plan_sweep(spec(verify=True, engine_mode="auto"), None)
+        )
         assert memoized.to_json() == fresh.to_json()
 
 

@@ -48,17 +48,17 @@ class TestVariantAxis:
         # fft is interchange-free, so both treatments produce the same
         # text — but their provenance keeps their cache keys apart
         pp, ni = by_variant["prepush"], by_variant["no-interchange"]
-        assert pp.job().program_text() == ni.job().program_text()
-        assert pp.variant_id != ni.variant_id
-        assert job_fingerprint(pp.job()) != job_fingerprint(ni.job())
+        assert pp.job.program_text() == ni.job.program_text()
+        assert pp.job.variant != ni.job.variant
+        assert job_fingerprint(pp.job) != job_fingerprint(ni.job)
         # the baseline stays provenance-free: its fingerprint is the
         # same as a plain untransformed job's (old caches keep hitting)
-        assert by_variant["original"].variant_id is None
+        assert by_variant["original"].job.variant is None
 
     def test_options_move_the_fingerprint(self):
         a, _ = expand_spec(spec(variants=("prepush",), tile_sizes=(2,)))
         b, _ = expand_spec(spec(variants=("prepush",), tile_sizes=(4,)))
-        assert job_fingerprint(a[0].job()) != job_fingerprint(b[0].job())
+        assert job_fingerprint(a[0].job) != job_fingerprint(b[0].job)
 
     def test_pipeline_instances_are_valid_axis_values(self):
         custom = Pipeline((TilePass(), CommGenPass()), name="my-tiles")
@@ -95,8 +95,8 @@ class TestVariantAxis:
 
         # same program modulo unparser normalization (the baseline point
         # ships the app's raw source text, the variant point its AST)
-        assert tile_only.job().program_text() == unparse(
-            parse(original.job().program_text())
+        assert tile_only.job.program_text() == unparse(
+            parse(original.job.program_text())
         )
         # nothing changed, so there is nothing to §4-verify
         assert verifications == []

@@ -5,10 +5,11 @@ and both network stacks (results must not depend on timing).
 
 import pytest
 
+from repro.api import Session, VerifyRequest
 from repro.apps import APP_BUILDERS, build_app
 from repro.runtime.network import IDEAL, MPICH_GM, MPICH_P4
 from repro.transform import TransformOptions, get_variant
-from repro.verify import verify_equivalence, verify_transform
+from repro.verify import verify_equivalence
 
 SMALL = {
     "figure2": dict(n=64, nranks=4, steps=2, stages=2),
@@ -105,14 +106,15 @@ def test_congested_nodeloop_still_correct():
 
 def test_verify_transform_one_call():
     app = build_app("figure2", **SMALL["figure2"])
-    eq, report = verify_transform(
-        app.source,
-        app.nranks,
-        options=TransformOptions(tile_size=4),
-        network=MPICH_GM,
+    result = Session(network=MPICH_GM).verify(
+        VerifyRequest(
+            program=app.source,
+            nranks=app.nranks,
+            options=TransformOptions(tile_size=4),
+        )
     )
-    assert eq.equivalent
-    assert report.transformed
+    assert result.equivalent
+    assert result.transform.transformed
 
 
 def test_no_simulator_race_warnings():

@@ -103,8 +103,8 @@ class TestReplayScaleDeterminism:
 
         first, _ = expand_spec(self._spec())
         second, _ = expand_spec(self._spec())
-        assert [job_fingerprint(p.job()) for p in first] == [
-            job_fingerprint(p.job()) for p in second
+        assert [job_fingerprint(p.job) for p in first] == [
+            job_fingerprint(p.job) for p in second
         ]
 
     def test_serial_twice_and_pooled_are_bit_identical(self):

@@ -254,3 +254,31 @@ class TestFallback:
         app = build_app("halo", nranks=4, n=16, steps=1, stages=1)
         with pytest.raises(Exception, match="engine_mode"):
             _run(app.source, 4, "warp")
+
+
+class TestReadOnlyArrays:
+    """Replay gives every rank one ndarray per rank-uniform array, so a
+    write into one rank's copy would change them all: both engines hand
+    back read-only arrays instead."""
+
+    SRC = """
+program uniform
+  integer, parameter :: n = 8
+  integer :: a(1:n), b(1:n)
+  integer :: i, ierr
+  do i = 1, n
+    a(i) = i + mynode()
+    b(i) = i
+  enddo
+  call mpi_barrier(ierr)
+end program uniform
+"""
+
+    @pytest.mark.parametrize("mode", ["replay", "full"])
+    def test_writing_a_rank_array_raises(self, mode):
+        run = _run(self.SRC, 4, mode)
+        for name in ("a", "b"):
+            with pytest.raises(ValueError, match="read-only"):
+                run.arrays[0][name][0] = 99
+        assert [arrays["b"][0] for arrays in run.arrays] == [1] * 4
+        assert [arrays["a"][0] for arrays in run.arrays] == [1, 2, 3, 4]

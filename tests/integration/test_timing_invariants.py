@@ -10,21 +10,25 @@ All assertions are orderings with margins, never absolute times.
 
 import pytest
 
+from repro.api import CompareRequest, Session
 from repro.apps import build_app
-from repro.harness.runner import PreparedApp
 from repro.runtime.network import IDEAL, MPICH_GM, MPICH_P4
 from repro.transform import TransformOptions
+
+
+def compare(app, options, network=MPICH_GM):
+    return Session(verify=False).compare(
+        CompareRequest(app=app, options=options, network=network)
+    )
 
 
 @pytest.fixture(scope="module")
 def pairs():
     """One transformed FFT workload measured on all three networks."""
     app = build_app("fft", n=128, nranks=8, steps=1, stages=6)
-    prepared = PreparedApp(
-        app, options=TransformOptions(tile_size=16), verify=False
-    )
     return {
-        net.name: prepared.run_on(net) for net in (MPICH_GM, MPICH_P4, IDEAL)
+        net.name: compare(app, TransformOptions(tile_size=16), net)
+        for net in (MPICH_GM, MPICH_P4, IDEAL)
     }
 
 
@@ -90,9 +94,7 @@ def test_tile_size_extremes_are_worse_than_moderate():
     app = build_app("fft", n=128, nranks=8, steps=1, stages=6)
     times = {}
     for k in (1, 16, 128):
-        pair = PreparedApp(
-            app, options=TransformOptions(tile_size=k), verify=False
-        ).run_on(MPICH_GM)
+        pair = compare(app, TransformOptions(tile_size=k))
         times[k] = pair.prepush.time
     assert times[16] < times[1]
     assert times[16] < times[128]
@@ -102,10 +104,6 @@ def test_congestion_costs():
     """Ablation E's physics: the congested (no-interchange) schedule of
     the nodeloop kernel is slower than the interchanged one."""
     app = build_app("nodeloop", n=96, nranks=8, steps=1, stages=6)
-    good = PreparedApp(
-        app, options=TransformOptions(interchange="auto"), verify=False
-    ).run_on(MPICH_GM)
-    bad = PreparedApp(
-        app, options=TransformOptions(interchange="never"), verify=False
-    ).run_on(MPICH_GM)
+    good = compare(app, TransformOptions(interchange="auto"))
+    bad = compare(app, TransformOptions(interchange="never"))
     assert good.prepush.time < bad.prepush.time

@@ -242,7 +242,7 @@ class TestDedup:
         spec = tiny_spec()
         points, _ = expand_spec(spec)
         cache = SweepCache(cache_dir)
-        fingerprints = [job_fingerprint(p.job()) for p in points]
+        fingerprints = [job_fingerprint(p.job) for p in points]
         for fp in fingerprints:
             assert cache.claim(fp)
 
@@ -258,9 +258,9 @@ class TestDedup:
         assert "result" not in result_box  # blocked on our claims
         # the "peer" (this test) finishes its simulations and publishes
         for point, fp in zip(points, fingerprints):
-            run = execute_job(dataclasses.replace(point.job(), label=""))
+            run = execute_job(dataclasses.replace(point.job, label=""))
             m = measurement_from_run(
-                run, network=point.network, collective=point.collective
+                run, network=point.job.network, collective=point.job.collective
             )
             cache.put(
                 fp,

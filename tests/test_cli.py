@@ -51,6 +51,17 @@ class TestTransform:
 
 
 class TestRun:
+    @pytest.mark.parametrize(
+        "command", [["run", "-n", "4"], ["verify", "-n", "4"], ["transform"]]
+    )
+    def test_missing_source_file_is_an_error(self, command, tmp_path, capsys):
+        path = tmp_path / "nonexistent.f90"
+        assert main(command + [str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read source file")
+        assert str(path) in err
+        assert "Traceback" not in err
+
     def test_run_reports_timing(self, kernel_file, capsys):
         rc = main(["run", str(kernel_file), "-n", "4", "--network", "mpich-gm"])
         assert rc == 0

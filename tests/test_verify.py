@@ -6,7 +6,8 @@ from repro.errors import VerificationError
 from repro.api import Job, Session
 from repro.runtime.network import IDEAL
 from repro.transform.options import TransformOptions
-from repro.verify import compare_runs, verify_equivalence, verify_transform
+from repro.api import VerifyRequest
+from repro.verify import compare_runs, verify_equivalence
 from tests.programs import direct_1d
 
 GOOD = direct_1d(n=16, nprocs=4, steps=1)
@@ -91,21 +92,43 @@ program plain
 end program plain
 """
     with pytest.raises(VerificationError, match="no transformable"):
-        verify_transform(src, 2)
+        Session().verify(VerifyRequest(program=src, nranks=2))
 
 
 def test_verify_transform_roundtrip():
-    eq, report = verify_transform(
-        GOOD, 4, options=TransformOptions(tile_size=4)
+    result = Session(network=IDEAL).verify(
+        VerifyRequest(
+            program=GOOD, nranks=4, options=TransformOptions(tile_size=4)
+        )
     )
-    assert eq.equivalent
-    assert report.sites[0].tile_size == 4
+    assert result.equivalent
+    assert result.transform.sites[0].tile_size == 4
 
 
 def test_verify_transform_options_conflict_raises():
     # TransformOptions is the only spelling of the knobs: the retired
     # tile_size= keyword no longer exists to conflict with it
     with pytest.raises(TypeError, match="tile_size"):
-        verify_transform(
-            GOOD, 4, tile_size=4, options=TransformOptions(tile_size=2)
+        VerifyRequest(
+            program=GOOD, tile_size=4, options=TransformOptions(tile_size=2)
         )
+
+
+def test_in_flight_race_warning_is_a_mismatch():
+    """compare_runs holds the whole §4 rule: a race warning of the
+    transformed run fails the check even when the data agree."""
+    session = Session(network=IDEAL)
+    a = session.run(Job(program=GOOD, nranks=4))
+    b = session.run(Job(program=GOOD, nranks=4))
+    race = (
+        "send buffer of rank 1 (tag 0, 64 B) was modified while the "
+        "transfer was in flight"
+    )
+    b.result.warnings.append(race)
+    report = compare_runs(a, b)
+    assert not report.equivalent
+    assert report.mismatches == [race]
+    # the original run's warnings are reported, not counted
+    swapped = compare_runs(b, a)
+    assert swapped.equivalent
+    assert swapped.warnings == [race]

@@ -349,7 +349,7 @@ class TestPipelineMechanics:
         assert not rep.transformed
         assert all(p.skipped for p in rep.passes)
 
-    def test_changed_covers_siteless_rewrites(self):
+    def test_changed_covers_siteless_rewrites(self, tmp_path):
         """An interchange-only pipeline rewrites no *site* but does
         change the program; `.changed` must say so (it gates §4
         verification and the unchanged-program policies)."""
@@ -360,17 +360,20 @@ class TestPipelineMechanics:
         assert not rep.transformed  # no SiteReport produced
         assert rep.changed  # but the nest was interchanged
         assert rep.unparse() != unparse(parse(app.source))
-        # and a PreparedApp on it runs the §4 check instead of skipping
-        from repro.harness.runner import PreparedApp
+        # and a compare of it runs the §4 check instead of skipping
+        from repro.api import CompareRequest, Session
 
-        prepared = PreparedApp(
-            app,
-            variant=Pipeline(
-                (InterchangePass(),), name="swap-only", partial=True
-            ),
-            verify=True,
+        session = Session(cache_dir=tmp_path, verify=True)
+        pair = session.compare(
+            CompareRequest(
+                app=app,
+                variant=Pipeline(
+                    (InterchangePass(),), name="swap-only", partial=True
+                ),
+            )
         )
-        assert prepared.equivalent
+        assert pair.equivalent
+        assert session.cache.stats.verify_misses == 1
 
     def test_describe_passes_mentions_every_pass(self):
         app = build_app("fft", n=8, steps=1, stages=2, nranks=4)

@@ -172,7 +172,7 @@ class TestEnumeration:
             nranks=(4,),
         )
         points, _ = expand_spec(spec)
-        fingerprints = {job_fingerprint(p.job()) for p in points}
+        fingerprints = {job_fingerprint(p.job) for p in points}
         # the sweep expansion dedupes by the same fingerprint the tune
         # cache memoizes on, so distinct canonical candidates == distinct
         # sweep points
