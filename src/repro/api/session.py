@@ -28,11 +28,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..apps.base import AppSpec
 from ..errors import ReproError, VerificationError
-from ..harness.runner import (
-    Measurement,
-    PairResult,
-    PreparedApp,
-)
+from ..harness.runner import Measurement, PairResult, require_transformed
 from ..harness.sweep import (
     TRANSFORM_MEMO_SIZE,
     SweepCache,
@@ -282,23 +278,9 @@ class Session:
             else:
                 # only .source is consumed here; skip the per-pass snapshots
                 report = pipeline.run(program, options, snapshots=False)
-            if not report.changed and (
-                report.rejections
-                or not (pipeline.partial or pipeline.empty)
-            ):
-                # the caller asked for a transformation and none
-                # happened — either a full-rewrite variant found
-                # nothing, or a site was outright rejected; running
-                # the original instead would silently measure the
-                # wrong program
-                raise ReproError(
-                    f"variant {pipeline.name or 'pipeline'!r} "
-                    f"transformed nothing in job "
-                    f"{job.label or job.nranks!r}:\n  "
-                    + "\n  ".join(
-                        r.reason for r in report.rejections
-                    )
-                )
+            require_transformed(
+                report, pipeline, f"job {job.label or job.nranks!r}"
+            )
             program = report.source
             identity = variant_identity(pipeline, options)
         elif job.options is not None:
@@ -404,8 +386,7 @@ class Session:
         pipeline = self._resolve_variant(request.variant)
         options = request.options or DEFAULT_TRANSFORM_OPTIONS
         report, text = _transform(app, pipeline, options, self._transforms)
-        # refuses a program the variant had to change but did not
-        PreparedApp(app, report, pipeline)
+        require_transformed(report, pipeline, f"workload {app.name!r}")
         network = self._resolve_network(request.network)
         collective = self._resolve_collective(request.collective)
         cost_model = self._resolve_cost_model(request.cost_model)

@@ -17,7 +17,6 @@ from .report import Table, bar_chart, format_seconds  # noqa: F401
 from .runner import (  # noqa: F401
     Measurement,
     PairResult,
-    PreparedApp,
     measurement_from_run,
 )
 from .sweep import (  # noqa: F401
@@ -44,7 +43,6 @@ __all__ = [
     "format_seconds",
     "Measurement",
     "PairResult",
-    "PreparedApp",
     "measurement_from_run",
     "CacheStats",
     "SweepCache",

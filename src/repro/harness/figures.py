@@ -706,7 +706,7 @@ def _preflight_variants(names, labels, *, sizes, nranks, dropped, memo):
     from ..apps import build_app
     from ..transform.options import TransformOptions
     from ..transform.pipeline import resolve_variant
-    from .runner import PreparedApp
+    from .runner import require_transformed
     from .sweep import _transform
 
     options = TransformOptions(
@@ -724,7 +724,9 @@ def _preflight_variants(names, labels, *, sizes, nranks, dropped, memo):
                         kwargs["n"] = sizes[app_name]
                     app = build_app(app_name, nranks=nranks, **kwargs)
                     report, _ = _transform(app, pipeline, options, memo)
-                    PreparedApp(app, report, pipeline)
+                    require_transformed(
+                        report, pipeline, f"workload {app.name!r}"
+                    )
         except ReproError as exc:
             dropped.append(f"{label}: {str(exc).splitlines()[0]}")
             continue

@@ -2,9 +2,10 @@
 
 :class:`Measurement` folds one simulation into a timing breakdown;
 :class:`PairResult` holds one workload's original and pre-pushed
-measurements; :class:`PreparedApp` holds one workload's transformation,
-refusing one that left the program unchanged when the variant had to
-change it.  The sweep plans (:mod:`repro.harness.sweep`) run every
+measurements; :func:`require_transformed` refuses a transformation that
+left the program unchanged when the variant had to change it, and
+:meth:`PreparedApp.check_equivalence` is the §4 check of a
+verification's two runs.  The sweep plans (:mod:`repro.harness.sweep`) run every
 measurement and §4 check; callers reach them through the
 :class:`repro.api.Session` façade (:meth:`~repro.api.Session.measure`,
 :meth:`~repro.api.Session.compare`, :meth:`~repro.api.Session.sweep`).
@@ -14,19 +15,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, Sequence
 
-from ..apps.base import AppSpec
 from ..errors import ReproError
 from ..interp.runner import ClusterRun
 from ..runtime.collectives import CollectiveSpec, describe_suite, resolve_suite
 from ..runtime.network import NetworkModel
-from ..transform.pipeline import (
-    Pipeline,
-    PipelineReport,
-    resolve_variant,
-    variant_label,
-)
+from ..transform.pipeline import Pipeline, PipelineReport, variant_label
 from ..verify import EquivalenceReport, compare_runs
 
 
@@ -144,11 +139,11 @@ class PairResult:
         return 1.0 - self.prepush.comm_cost / base
 
 
-class PreparedApp:
-    """A workload transformed once by one variant: ``report`` is the
-    :class:`~repro.transform.pipeline.PipelineReport` of ``variant``
-    (a registered name or a :class:`~repro.transform.pipeline.Pipeline`)
-    over ``app.source``, kept as ``.transform``.
+def require_transformed(
+    report: PipelineReport, pipeline: Pipeline, what: str
+) -> None:
+    """Refuse a transformation that left the program unchanged when
+    ``pipeline`` had to change it; ``what`` names the program.
 
     Variants marked ``partial`` (e.g. ``tile-only`` on an indirect
     workload) and the empty baseline may legitimately leave the program
@@ -158,27 +153,21 @@ class PreparedApp:
     at least one successful rewrite are reported, not raised — the
     paper's semi-automatic convention.
     """
+    if not report.changed and (
+        report.rejections or not (pipeline.partial or pipeline.empty)
+    ):
+        # measuring the original instead would report a fake speedup
+        # of 1.0
+        raise ReproError(
+            f"{what} was not transformed: variant "
+            f"{variant_label(pipeline)!r} transformed nothing:\n  "
+            + "\n  ".join(r.reason for r in report.rejections)
+        )
 
-    def __init__(
-        self,
-        app: AppSpec,
-        report: PipelineReport,
-        variant: Union[str, Pipeline] = "prepush",
-    ) -> None:
-        pipeline = resolve_variant(variant)
-        self.transform = report
-        if not report.changed and (
-            report.rejections or not (pipeline.partial or pipeline.empty)
-        ):
-            # an unchanged program is acceptable only when the variant
-            # *intentionally* left it alone.  A site the planner
-            # REJECTED is a failure whatever the variant — silently
-            # measuring the original would report a fake speedup of 1.0
-            raise ReproError(
-                f"workload {app.name!r} was not transformed by "
-                f"variant {variant_label(pipeline)!r}:\n  "
-                + "\n  ".join(r.reason for r in report.rejections)
-            )
+
+class PreparedApp:
+    """Home of the §4 check every plan applies to a verification's two
+    runs (:meth:`~repro.harness.sweep.SweepPlan.fold_verification`)."""
 
     @staticmethod
     def check_equivalence(
@@ -188,6 +177,5 @@ class PreparedApp:
     ) -> EquivalenceReport:
         """The §4 verdict on two completed runs of a transformed
         workload, ``skip`` naming the arrays the transformation killed
-        (the check :meth:`~repro.harness.sweep.SweepPlan.fold_verification`
-        applies; the plan decides whether a mismatch raises)."""
+        (the plan decides whether a mismatch raises)."""
         return compare_runs(original, transformed, skip=skip)

@@ -89,7 +89,12 @@ from ..transform.pipeline import (
     variant_label,
 )
 from ..verify import EquivalenceReport
-from .runner import Measurement, PreparedApp, measurement_from_run
+from .runner import (
+    Measurement,
+    PreparedApp,
+    measurement_from_run,
+    require_transformed,
+)
 
 __all__ = [
     "SweepSpec",
@@ -665,12 +670,15 @@ class SweepCache:
         return f"engine={engine}/symmetry={symmetry}"
 
     def _entry_stale(self, payload: Optional[Dict[str, Any]]) -> bool:
-        """A prunable entry: corrupt, or written under a different
-        engine or symmetry-recorder version (every key folds in both)."""
+        """A prunable entry: corrupt, written under a different engine
+        or symmetry-recorder version (every key folds in both), or a
+        verdict without its report (keyed by an older formula no plan
+        computes any more)."""
         return (
             payload is None
             or payload.get("engine") != ENGINE_VERSION
             or payload.get("symmetry") != SYMMETRY_VERSION
+            or (payload.get("kind") == "verify" and "report" not in payload)
         )
 
     def info(self) -> Dict[str, Any]:
@@ -864,7 +872,7 @@ def expand_spec(
                     tile_size=tile, interchange=inter
                 )
                 prepared: Dict[
-                    str, Tuple[Optional[PreparedApp], Optional[str]]
+                    str, Tuple[Optional[PipelineReport], Optional[str]]
                 ] = {}
                 fallback: Optional[PipelineReport] = None
                 for label, pipeline in resolved_variants:
@@ -872,8 +880,10 @@ def expand_spec(
                         prepared[label] = (None, None)
                         continue
                     report, text = _transform(app, pipeline, options, memo)
-                    pa = PreparedApp(app, report, pipeline)
-                    prepared[label] = (pa, text)
+                    require_transformed(
+                        report, pipeline, f"workload {app.name!r}"
+                    )
+                    prepared[label] = (report, text)
                     if fallback is None:
                         fallback = report
                     if spec.verify and report.changed:
@@ -890,15 +900,15 @@ def expand_spec(
                 for scale in spec.cpu_scales:
                     cost = spec.base_cost_model.scaled(scale)
                     for label, pipeline in resolved_variants:
-                        pa, text = prepared[label]
+                        report, text = prepared[label]
                         program: Union[str, SourceFile]
-                        if pa is None:
+                        if report is None:
                             program = app.source
                             transform = fallback
                             variant_id = None
                         else:
-                            program = pa.transform.source
-                            transform = pa.transform
+                            program = report.source
+                            transform = report
                             variant_id = variant_identity(
                                 pipeline, options
                             )

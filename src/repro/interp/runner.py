@@ -78,7 +78,8 @@ class ClusterRun:
 
     The arrays are read-only: the replay engine hands every rank the
     same ndarray for an array all ranks agree on, so a write would
-    change every rank at once; a write raises on either engine.
+    change every rank at once; a write raises on either engine, and
+    in a run unpickled from a pool worker too.
     """
 
     result: SimResult
@@ -90,6 +91,12 @@ class ClusterRun:
         for arrays in self.arrays:
             for data in arrays.values():
                 data.flags.writeable = False
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        # a run unpickled from a pool worker gets its arrays back
+        # writeable (and a replayed run's still shared across ranks)
+        self.__dict__.update(state)
+        self.__post_init__()
 
     @property
     def time(self) -> float:

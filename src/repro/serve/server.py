@@ -616,10 +616,12 @@ class SweepServer:
             if not value:
                 try:
                     value = await produce()
-                except BaseException:
+                finally:
+                    # put() dropped a stored entry's claim already; a
+                    # failure, or a result that is not stored (a failed
+                    # §4 check), must not leave peers waiting on it
                     if claimed:
                         cache.release(key)
-                    raise
         except BaseException as exc:
             future.set_exception(exc)
             future.exception()  # a lone holder must not warn on GC

@@ -2,8 +2,7 @@
 
 :class:`TransformOptions` is the only spelling of the transformation
 knobs (``tile_size``, ``interchange``, ``max_sites``): the pipeline,
-``PreparedApp``, the request dataclasses and the sweep expansion all
-take one.  It is a single immutable value with a
+the request dataclasses and the sweep expansion all take one.  It is a single immutable value with a
 ``canonical_params()`` serialization, exactly like
 :meth:`~repro.runtime.network.NetworkModel.canonical_params` and
 :meth:`~repro.runtime.costmodel.CostModel.canonical_params`: the same

@@ -6,6 +6,7 @@ so each reads and writes the session cache, runs under the session's
 from __future__ import annotations
 
 import dataclasses
+import time
 from collections import Counter
 
 import pytest
@@ -14,9 +15,11 @@ from repro import Job, Session, VerifyRequest
 from repro.apps import build_app
 from repro.errors import EngineModeError, ReproError
 from repro.harness import sweep as sweep_mod
+from repro.harness.runner import PreparedApp
 from repro.harness.sweep import SweepSpec
 from repro.interp import replay, symmetry
 from repro.serve import ServeClient, ThreadedServer
+from repro.verify import EquivalenceReport
 from tests.programs import direct_2d
 
 NRANKS = 4
@@ -38,6 +41,18 @@ def records(monkeypatch):
 
     monkeypatch.setattr(replay, "record_trace", counting)
     return seen
+
+
+@pytest.fixture
+def failing_checks(monkeypatch):
+    """Every §4 check fails."""
+
+    def failing(original, transformed, skip=()):
+        return EquivalenceReport(equivalent=False, mismatches=["x"])
+
+    monkeypatch.setattr(
+        PreparedApp, "check_equivalence", staticmethod(failing)
+    )
 
 
 def misses(session):
@@ -165,18 +180,9 @@ class TestVerdictKeys:
         session.verify(dataclasses.replace(request, network="hostnet"))
         assert misses(session) == (0, 2)
 
-    def test_a_failed_check_is_not_cached(self, tmp_path, monkeypatch):
+    def test_a_failed_check_is_not_cached(self, tmp_path, failing_checks):
         """A failing verdict stays out of the cache: the next verify
         checks again instead of trusting it."""
-        from repro.harness.runner import PreparedApp
-        from repro.verify import EquivalenceReport
-
-        def failing(original, transformed, skip=()):
-            return EquivalenceReport(equivalent=False, mismatches=["x"])
-
-        monkeypatch.setattr(
-            PreparedApp, "check_equivalence", staticmethod(failing)
-        )
         session = Session(cache_dir=tmp_path)
         request = VerifyRequest(program=direct_2d(), nranks=NRANKS)
         assert not session.verify(request).equivalent
@@ -184,3 +190,21 @@ class TestVerdictKeys:
         assert misses(session) == (0, 2)
         with pytest.raises(ReproError, match="NOT equivalent"):
             session.compare(fft())
+
+    def test_a_failed_served_check_leaves_no_claim(
+        self, tmp_path, failing_checks
+    ):
+        """A failing verdict is not stored, so the server drops its
+        in-flight claim itself: the next identical verify, here or on
+        a peer, checks again at once instead of waiting out the
+        claim."""
+        with ThreadedServer(cache_dir=tmp_path) as ts:
+            with ServeClient(port=ts.port) as client:
+                for _ in range(2):
+                    start = time.monotonic()
+                    out = client.verify(direct_2d(), nranks=NRANKS)
+                    assert out["equivalent"] is False
+                    assert not list(tmp_path.glob("*/*.inflight"))
+                    assert time.monotonic() - start < 60
+                stats = client.status()["stats"]
+        assert stats["verify_simulations"] == 4

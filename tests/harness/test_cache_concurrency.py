@@ -143,7 +143,7 @@ class TestInfoPrune:
     def test_info_counts_entries_and_claims(self, tmp_path):
         cache = SweepCache(tmp_path)
         cache.put("11" * 32, _payload())
-        cache.put("22" * 32, dict(_payload(), kind="verify"))
+        cache.put("22" * 32, dict(_payload(), kind="verify", report={}))
         assert cache.claim("33" * 32)
         info = cache.info()
         assert info["entries"] == 2
@@ -180,6 +180,19 @@ class TestInfoPrune:
         assert not path.exists()
         assert cache.get(fresh) is not None
         assert cache.info()["stale_entries"] == 0
+
+    def test_prune_removes_reportless_verdicts(self, tmp_path):
+        """A verdict stored without its report was keyed by a formula no
+        plan computes any more: unreachable, so prune drops it although
+        its version stamps are current."""
+        cache = SweepCache(tmp_path)
+        live, orphan = "88" * 32, "99" * 32
+        cache.put(live, {"kind": "verify", "report": {}})
+        cache.put(orphan, {"kind": "verify", "app": "fft", "nranks": 4})
+        assert cache.info()["stale_entries"] == 1
+        assert cache.prune()["removed"] == 1
+        assert cache.get(live) is not None
+        assert not cache.path(orphan).exists()
 
     def test_prune_removes_corrupt_and_stale_claims(self, tmp_path):
         cache = SweepCache(tmp_path)

@@ -13,13 +13,16 @@ rank-dependent control flow, real allreduce) silently falls back under
 ``"replay"`` — never a silently different result.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro import Session
 from repro.apps import build_app
 from repro.errors import EngineModeError, ReproError, SymmetryError
 from repro.interp.replay import replay_cluster
-from repro.interp.runner import ClusterJob, execute_job
+from repro.interp.runner import ClusterJob, execute_job, run_many
 from repro.transform.pipeline import resolve_variant
 from repro.transform.options import TransformOptions
 
@@ -282,3 +285,38 @@ end program uniform
                 run.arrays[0][name][0] = 99
         assert [arrays["b"][0] for arrays in run.arrays] == [1] * 4
         assert [arrays["a"][0] for arrays in run.arrays] == [1, 2, 3, 4]
+
+    def assert_read_only(self, run):
+        for name in ("a", "b"):
+            with pytest.raises(ValueError, match="read-only"):
+                run.arrays[0][name][0] = 99
+
+    @pytest.mark.parametrize("mode", ["replay", "full"])
+    def test_an_unpickled_run_stays_read_only(self, mode):
+        """A pool worker's run reaches the caller through pickle, which
+        rebuilds writeable arrays (and keeps replay's shared ones
+        shared)."""
+        self.assert_read_only(
+            pickle.loads(pickle.dumps(_run(self.SRC, 4, mode)))
+        )
+
+    def test_a_pooled_batch_stays_read_only(self):
+        with Session(jobs=2) as session:
+            pool = session.pool()
+            if pool is None:
+                pytest.skip("multiprocessing unavailable in this environment")
+            batch = run_many(
+                [
+                    ClusterJob(
+                        program=self.SRC,
+                        nranks=4,
+                        network="gmnet",
+                        engine_mode=mode,
+                    )
+                    for mode in ("replay", "full")
+                ],
+                executor=pool,
+            )
+        assert batch.mode == "pool"
+        for run in batch:
+            self.assert_read_only(run)
