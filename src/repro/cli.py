@@ -684,7 +684,8 @@ def build_parser() -> argparse.ArgumentParser:
         "action",
         choices=["info", "prune"],
         help="'info' reports entry/byte/version totals; 'prune' deletes "
-        "entries recorded under a stale engine or symmetry version",
+        "entries recorded under a stale engine or symmetry version and "
+        "the lock/in-flight markers older versions left",
     )
     p.add_argument(
         "--cache-dir",
@@ -1416,7 +1417,7 @@ def _submit_command(args: argparse.Namespace) -> int:
     print(_result_table(result).render())
     print(
         "serve: {points} points, {simulated} simulated, "
-        "{cache_hits} cache hits, {peer_served} peer-served, "
+        "{cache_hits} cache hits, "
         "{coalesced} coalesced".format(**result["stats"]),
         file=sys.stderr,
     )
@@ -1442,7 +1443,6 @@ def _cache_command(args: argparse.Namespace) -> int:
             f"stale entries:    {info['stale_entries']} "
             f"({info['stale_bytes']} bytes; 'prune' deletes these)"
         )
-        print(f"in-flight claims: {info['inflight_claims']}")
         return 0
     report = cache.prune(dry_run=args.dry_run)
     verb = "would remove" if report["dry_run"] else "removed"
@@ -1450,11 +1450,10 @@ def _cache_command(args: argparse.Namespace) -> int:
         f"{verb} {report['removed']} stale entries "
         f"({report['freed_bytes']} bytes), kept {report['kept']}"
     )
-    if report["stale_claims_removed"]:
-        print(
-            f"{verb} {report['stale_claims_removed']} stale "
-            "in-flight claims"
-        )
+    print(
+        f"{verb} {report['markers_removed']} lock/in-flight markers "
+        "left by older versions"
+    )
     return 0
 
 

@@ -1,6 +1,6 @@
 """Regeneration of the paper's figures and the deferred ablations.
 
-The paper's evaluation (Figure 1 plus the §4 correctness claim) is
+The paper's evaluation (Figure 1 plus the §4 correctness result) is
 reproduced here, together with the parameter studies the paper defers to
 Danalis et al. [3] — tile size, cluster size, network parameters — and
 two studies of its own design discussions: workload generality (§2's
@@ -321,7 +321,7 @@ def ablation_network(
 ) -> Table:
     """Ablation C: which network properties the benefit depends on.
 
-    Sweeps latency, wire bandwidth, and — the paper's central claim —
+    Sweeps latency, wire bandwidth, and — the paper's central thesis —
     NIC offload.  Removing offload (``gm-no-offload``) makes the host
     CPU progress every byte: the same transformed program loses its
     advantage, which is exactly why the paper pairs the transformation

@@ -38,9 +38,7 @@ import hashlib
 import os
 import tempfile
 import threading
-import time
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import (
@@ -54,11 +52,6 @@ from typing import (
     Tuple,
     Union,
 )
-
-try:  # POSIX advisory locks; Windows degrades to O_EXCL-only claims
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None
 
 from ..apps import AppSpec, build_app
 from ..errors import ReproError
@@ -101,7 +94,6 @@ __all__ = [
     "SweepPoint",
     "SweepCache",
     "CacheStats",
-    "CLAIM_STALE_AFTER",
     "SweepRun",
     "SweepStats",
     "SweepResult",
@@ -430,13 +422,6 @@ class CacheStats:
         )
 
 
-#: seconds after which an in-flight claim marker left behind by a
-#: crashed writer counts as abandoned and may be broken by another
-#: process (generous: the longest single simulation in the repo — a
-#: 1024-rank replay — finishes well under this)
-CLAIM_STALE_AFTER = 900.0
-
-
 class SweepCache:
     """Content-addressed on-disk store of sweep results.
 
@@ -449,19 +434,9 @@ class SweepCache:
     (counted in :attr:`CacheStats.corrupt`) and is overwritten by the
     re-simulation.
 
-    **Multi-writer protocol** (DESIGN.md §11): concurrent processes
-    sharing one cache directory coordinate through per-entry *in-flight
-    claim markers*.  :meth:`claim` atomically (``O_CREAT|O_EXCL``)
-    creates ``<key>.inflight`` next to the entry; the winner simulates
-    and :meth:`put` (which removes the marker), losers :meth:`wait_for`
-    the entry to land instead of duplicating the simulation.  Claim
-    decisions are serialized under a per-entry advisory ``flock``
-    (:meth:`lock`) so breaking a stale marker — one left by a crashed
-    writer, older than :data:`CLAIM_STALE_AFTER` — cannot race a live
-    claim.  The protocol is *advisory*: a writer that skips it and
-    simulates anyway stays correct (entries are deterministic and
-    writes atomic), it just wastes the duplicate work the markers
-    exist to avoid.
+    Many writers may share one directory (DESIGN.md §11.2): two that
+    simulate the same key store the same entry, and the atomic rename
+    leaves exactly one of them on disk.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
@@ -500,8 +475,7 @@ class SweepCache:
         return payload
 
     def put(self, key: str, payload: Dict[str, Any]) -> None:
-        """Atomically store ``payload`` (annotated with its key) and
-        release any in-flight claim this writer held on it."""
+        """Atomically store ``payload`` (annotated with its key)."""
         path = self.path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = dict(
@@ -521,125 +495,6 @@ class SweepCache:
                 pass
             raise
         self.count("stores")
-        self.release(key)
-
-    # ------------------------------------------- multi-writer protocol
-
-    def claim_path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.inflight"
-
-    @contextmanager
-    def lock(self, key: str) -> Iterator[None]:
-        """Per-entry advisory lock serializing claim/break decisions.
-
-        Held only around marker bookkeeping (microseconds), never around
-        a simulation.  Without :mod:`fcntl` (non-POSIX) this degrades to
-        a no-op and :meth:`claim` relies on ``O_CREAT|O_EXCL`` alone,
-        which still guarantees a single winner per marker — only the
-        stale-marker *break* loses its race protection.
-        """
-        lock_file = self.root / key[:2] / f"{key}.lock"
-        lock_file.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(lock_file, os.O_CREAT | os.O_RDWR)
-        try:
-            if fcntl is not None:
-                fcntl.flock(fd, fcntl.LOCK_EX)
-            yield
-        finally:
-            try:
-                if fcntl is not None:
-                    fcntl.flock(fd, fcntl.LOCK_UN)
-            finally:
-                os.close(fd)
-
-    def _claim_stale(self, marker: Path) -> bool:
-        """True when ``marker`` was abandoned: its writer recorded a
-        timestamp more than :data:`CLAIM_STALE_AFTER` seconds ago (or
-        the marker is unreadable).  A vanished marker is *not* stale —
-        it means the entry just landed."""
-        try:
-            with open(marker, "r", encoding="utf-8") as fh:
-                info = json.load(fh)
-            claimed_at = float(info["time"])
-        except FileNotFoundError:
-            return False
-        except (OSError, ValueError, TypeError, KeyError):
-            return True  # unreadable marker: treat as abandoned
-        return (time.time() - claimed_at) > CLAIM_STALE_AFTER
-
-    def claim(self, key: str) -> bool:
-        """Atomically claim the right to simulate ``key``.
-
-        ``True``: this process owns the in-flight marker and must either
-        :meth:`put` the entry (which releases it) or :meth:`release` on
-        failure.  ``False``: the entry already exists, or another live
-        writer holds the claim — :meth:`wait_for` the result instead.
-        """
-        with self.lock(key):
-            if self.path(key).exists():
-                return False
-            marker = self.claim_path(key)
-            marker.parent.mkdir(parents=True, exist_ok=True)
-            try:
-                fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                if not self._claim_stale(marker):
-                    return False
-                # abandoned by a crashed writer: break it and re-claim
-                # (safe under the entry lock)
-                try:
-                    os.unlink(marker)
-                except FileNotFoundError:
-                    pass
-                try:
-                    fd = os.open(
-                        marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY
-                    )
-                except FileExistsError:
-                    return False
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump({"pid": os.getpid(), "time": time.time()}, fh)
-            return True
-
-    def release(self, key: str) -> None:
-        """Drop the in-flight claim on ``key`` (idempotent)."""
-        try:
-            os.unlink(self.claim_path(key))
-        except OSError:
-            pass
-
-    def claim_live(self, key: str) -> bool:
-        """True while some live writer holds the in-flight claim on
-        ``key`` (marker present and not stale) — i.e. waiting for the
-        entry is still worthwhile."""
-        marker = self.claim_path(key)
-        return marker.exists() and not self._claim_stale(marker)
-
-    def wait_for(
-        self,
-        key: str,
-        *,
-        timeout: float = CLAIM_STALE_AFTER,
-        poll: float = 0.05,
-    ) -> Optional[Dict[str, Any]]:
-        """Block until another writer's entry for ``key`` lands.
-
-        Returns the payload, or ``None`` when the claim vanished or went
-        stale without producing an entry (the caller should
-        :meth:`claim` and simulate itself) or ``timeout`` elapsed.
-        """
-        deadline = time.monotonic() + timeout
-        while True:
-            payload = self.get(key)
-            if payload is not None:
-                return payload
-            if not self.claim_live(key):
-                # one final read: the writer may have put + released
-                # between our get() and the marker check
-                return self.get(key)
-            if time.monotonic() >= deadline:
-                return None
-            time.sleep(poll)
 
     # ------------------------------------------------- introspection
 
@@ -683,8 +538,7 @@ class SweepCache:
 
     def info(self) -> Dict[str, Any]:
         """Inventory: entry/kind counts, on-disk bytes, per-version
-        breakdown, live in-flight claims, and how much ``prune`` would
-        delete."""
+        breakdown, and how much ``prune`` would delete."""
         kinds: Dict[str, int] = {}
         versions: Dict[str, int] = {}
         total = stale = 0
@@ -700,9 +554,6 @@ class SweepCache:
             if self._entry_stale(payload):
                 stale += 1
                 stale_size += nbytes
-        claims = (
-            sorted(self.root.glob("*/*.inflight")) if self.root.is_dir() else []
-        )
         return {
             "root": str(self.root),
             "entries": total,
@@ -714,12 +565,12 @@ class SweepCache:
             ),
             "stale_entries": stale,
             "stale_bytes": stale_size,
-            "inflight_claims": len(claims),
         }
 
     def prune(self, *, dry_run: bool = False) -> Dict[str, Any]:
-        """Delete stale-version (and corrupt) entries plus abandoned
-        in-flight markers; ``dry_run`` only reports what would go."""
+        """Delete stale-version (and corrupt) entries plus the
+        ``.lock``/``.inflight`` markers older versions of the cache left
+        beside them; ``dry_run`` only reports what would go."""
         removed = kept = freed = 0
         for path, payload in self.entries():
             if self._entry_stale(payload):
@@ -732,21 +583,22 @@ class SweepCache:
                         pass
             else:
                 kept += 1
-        stale_claims = 0
-        if self.root.is_dir():
-            for marker in sorted(self.root.glob("*/*.inflight")):
-                if self._claim_stale(marker):
-                    stale_claims += 1
-                    if not dry_run:
-                        try:
-                            os.unlink(marker)
-                        except OSError:
-                            pass
+        markers = (
+            [*self.root.glob("*/*.lock"), *self.root.glob("*/*.inflight")]
+            if self.root.is_dir()
+            else []
+        )
+        if not dry_run:
+            for marker in markers:
+                try:
+                    os.unlink(marker)
+                except OSError:
+                    pass
         return {
             "removed": removed,
             "kept": kept,
             "freed_bytes": freed,
-            "stale_claims_removed": stale_claims,
+            "markers_removed": len(markers),
             "dry_run": dry_run,
         }
 
@@ -1051,9 +903,9 @@ class SweepResult:
 # probe the cache), execute (run what the cache lacked) and fold
 # (measure, store, check equivalence, assemble).  :func:`_execute_sweep`
 # runs the execute stage as one ``run_many`` batch; the sweep server
-# (:mod:`repro.serve.server`) runs it job by job behind its coalescing
-# and claim layers.  Both share the plan and fold stages, and with them
-# the one reader and writer of cache payloads.
+# (:mod:`repro.serve.server`) runs it job by job behind its re-probe
+# and coalescing layers.  Both share the plan and fold stages, and with
+# them the one reader and writer of cache payloads.
 
 
 def read_measurement(

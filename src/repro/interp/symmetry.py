@@ -19,7 +19,7 @@ raises :class:`~repro.errors.SymmetryError`, and the caller falls back
 to full per-rank interpretation.  There are no false positives: if
 recording succeeds, replaying the recorded trace is bit-identical to
 interpreting every rank (the parity suite in
-``tests/integration/test_replay_parity.py`` checks exactly this claim).
+``tests/integration/test_replay_parity.py`` checks exactly this guarantee).
 
 Expressions run through a generated rank-vector value domain,
 :class:`VecCompiler` — the code generator of the fast path

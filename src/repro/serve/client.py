@@ -133,8 +133,7 @@ class AsyncServeClient:
     ) -> Dict[str, Any]:
         """Submit sweep spec(s); returns the
         :meth:`~repro.harness.sweep.SweepResult.to_json`-shaped result
-        (its ``stats`` add the server's ``peer_served``/``coalesced``
-        counts)."""
+        (its ``stats`` add the server's ``coalesced`` count)."""
         return await self._request("sweep", _spec_body(spec), on_event)
 
     submit = sweep  # the CLI verb's name

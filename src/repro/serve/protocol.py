@@ -21,7 +21,7 @@ Client → server (every request names a ``type`` and a client-chosen
               "seed": 7}`` — the ``space`` payload is
               :meth:`repro.tune.SearchSpace.to_dict`; the server runs
               the search with every candidate evaluation flowing
-              through its three-layer dedup
+              through its two-layer dedup
 ``status``    server statistics (never queued; answered immediately)
 ``shutdown``  ``{"drain": true}`` — ask the server to stop
 
@@ -30,8 +30,8 @@ Server → client events (``event`` discriminates):
 ``accepted``  the request passed validation and admission control;
               carries the expanded ``points``/``verifications`` counts
 ``point``     one sweep point finished: ``axes``, its measurement
-              ``source`` (``cache``/``peer``/``coalesced``/
-              ``simulated``), completion ``seq`` of ``total``
+              ``source`` (``cache``/``coalesced``/``simulated``),
+              completion ``seq`` of ``total``
 ``step``      one tune evaluation finished: the
               :meth:`repro.tune.TrajectoryStep.to_dict` fields
               (candidate, objective, cumulative best, cache_hit)
@@ -67,8 +67,10 @@ __all__ = [
     "exception_from_event",
 ]
 
-#: bumped on incompatible wire changes; servers refuse newer clients
-PROTOCOL_VERSION = 1
+#: bumped on incompatible wire changes; a server refuses clients of any
+#: other version (2: sweep result ``stats`` dropped the peer-served
+#: count)
+PROTOCOL_VERSION = 2
 
 #: per-line ceiling (program texts ride in requests; 16 MiB is far
 #: above any registered app and bounds a malicious/broken peer)

@@ -8,23 +8,25 @@ clients submit sweep/compare/verify requests as JSON
 plan and fold stages as :meth:`repro.api.Session.sweep`
 (:func:`~repro.harness.sweep.plan_sweep`,
 :class:`~repro.harness.sweep.SweepPlan`), **coalesces** concurrent
-identical work so each fingerprint is simulated at most once
-cluster-wide, shards the live simulations across the session's
+identical work so each fingerprint is simulated at most once per
+server, shards the live simulations across the session's
 persistent process pool, and streams per-point progress events back to
 each subscriber.
 
-Deduplication happens at three layers, cheapest first:
+Deduplication happens at two layers, cheapest first:
 
 1. the content-addressed :class:`~repro.harness.sweep.SweepCache`,
-   probed by the plan stage — previously simulated fingerprints are
-   served without any work;
-2. an in-process map of in-flight fingerprints to futures — a request
-   arriving while an identical point simulates *subscribes* to the
-   running simulation instead of starting its own;
-3. the cache's cross-process claim markers
-   (:meth:`~repro.harness.sweep.SweepCache.claim`) — a second *server*
-   sharing the cache directory waits for the claiming peer's entry to
-   land instead of duplicating the simulation.
+   probed by the plan stage and re-probed just before a simulation
+   starts — previously simulated fingerprints are served without any
+   work;
+2. an in-process map of in-flight cache keys to futures — a request
+   arriving while an identical point or check simulates *subscribes*
+   to the running simulation instead of starting its own.
+
+Two servers sharing one cache directory need no third layer: a
+simulation is a pure function of its key (DESIGN.md §3.2) and
+:meth:`~repro.harness.sweep.SweepCache.put` is atomic, so at worst both
+simulate a point and store identical entries.
 
 Only the layers are the server's own; reading and writing cache
 payloads and assembling results stay in :mod:`repro.harness.sweep`.
@@ -55,8 +57,6 @@ from ..api.session import Session
 from ..apps import build_app
 from ..errors import OverloadError, ReproError, RequestError, ServeError
 from ..harness.sweep import (
-    CLAIM_STALE_AFTER,
-    SweepCache,
     SweepPlan,
     SweepResult,
     SweepSpec,
@@ -82,6 +82,10 @@ from .protocol import (
 
 __all__ = ["ServeStats", "SweepServer", "ThreadedServer"]
 
+#: threads of the fallback executor (jobs that cannot use the session's
+#: process pool)
+EXECUTOR_WORKERS = 4
+
 
 def _wire_options(body: Mapping[str, Any]) -> TransformOptions:
     """The ``tile_size``/``interchange`` keys of a compare or verify
@@ -101,14 +105,12 @@ class ServeStats:
     ``dedup_ratio`` — measurement simulations actually run divided by
     sweep points requested — is the service's headline number: 1.0
     means every requested point cost a simulation; anything below means
-    the cache, the in-flight coalescing, or a peer's claim absorbed the
-    difference.
+    the cache or the in-flight coalescing absorbed the difference.
 
     The point counters add up the per-request ``stats`` of sweep
     results: ``cache_hits`` counts every point served from the cache
-    (``cached: true``), including those read after waiting on a peer's
-    claim, which ``peer_served`` counts again; ``coalesced`` counts the
-    points that subscribed to another request's in-flight work.
+    (``cached: true``); ``coalesced`` counts the points that subscribed
+    to another request's in-flight work.
     """
 
     requests: int = 0
@@ -122,7 +124,6 @@ class ServeStats:
     simulations: int = 0
     verify_simulations: int = 0
     cache_hits: int = 0
-    peer_served: int = 0
     coalesced: int = 0
     verify_checks: int = 0
     verify_hits: int = 0
@@ -152,7 +153,7 @@ class SweepServer:
     One connection handles its requests strictly in order (the
     protocol's framing guarantee); concurrency comes from concurrent
     connections, whose simulations all flow through one executor and
-    one in-flight fingerprint map.
+    one in-flight key map.
     """
 
     def __init__(
@@ -162,9 +163,6 @@ class SweepServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_pending_points: int = 4096,
-        peer_wait_timeout: float = CLAIM_STALE_AFTER,
-        peer_poll: float = 0.05,
-        executor_workers: Optional[int] = None,
         **session_kwargs: Any,
     ) -> None:
         if session is not None and session_kwargs:
@@ -177,19 +175,15 @@ class SweepServer:
         self.host = host
         self.port = port
         self.max_pending_points = max_pending_points
-        self.peer_wait_timeout = peer_wait_timeout
-        self.peer_poll = peer_poll
-        self.executor_workers = executor_workers or 4
         self.stats = ServeStats()
 
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread_executor = None
-        #: fingerprint -> future of (label-less Measurement, cached) for
-        #: every measurement currently in flight (layer 2 dedup)
+        #: cache key -> future of the value of every measurement and
+        #: verdict currently in flight (layer 2 dedup); fingerprints
+        #: and verdict keys share the cache's one sha-256 key space
         self._inflight: Dict[str, "asyncio.Future"] = {}
-        #: verification key -> future (same shape, verify verdicts)
-        self._inflight_verify: Dict[str, "asyncio.Future"] = {}
         self._conn_tasks: set = set()
         self._active_requests = 0
         self._pending_points = 0
@@ -277,7 +271,7 @@ class SweepServer:
             # the threads share the session's program memo (pool
             # workers keep their own)
             self._thread_executor = ThreadPoolExecutor(
-                max_workers=self.executor_workers,
+                max_workers=EXECUTOR_WORKERS,
                 thread_name_prefix="repro-serve",
                 initializer=_use_programs,
                 initargs=(self.session._programs,),
@@ -287,7 +281,7 @@ class SweepServer:
     async def _run_job(self, job: ClusterJob, stats: SweepStats):
         executor = self._executor_for(job)
         if executor is self._thread_executor:
-            stats.mode, stats.processes = "thread", self.executor_workers
+            stats.mode, stats.processes = "thread", EXECUTOR_WORKERS
         else:
             stats.mode, stats.processes = "pool", self.session.jobs
         return await self._loop.run_in_executor(executor, execute_job, job)
@@ -448,11 +442,11 @@ class SweepServer:
     async def _run_plan(
         self, plan: SweepPlan, send=None, request_id: str = ""
     ) -> Tuple[SweepResult, Dict[str, int]]:
-        """Run one plan's execute and fold stages (§7) with the three
+        """Run one plan's execute and fold stages (§7) with the two
         dedup layers (§11.2) around its execute stage.
 
         Returns the :class:`~repro.harness.sweep.SweepResult` and the
-        serve-only counters (``peer_served``, ``coalesced``).  With
+        serve-only counter ``coalesced``.  With
         ``send``, streams ``accepted`` and one ``point`` event per
         point as its work key resolves.  Every verb that simulates
         (sweep, compare, verify, tune) runs its plan here.
@@ -519,12 +513,8 @@ class SweepServer:
 
         result = plan.result()
         per_point = [sources[plan.key(i)] for i in range(total)]
-        extra = {
-            "peer_served": per_point.count("peer"),
-            "coalesced": per_point.count("coalesced"),
-        }
+        extra = {"coalesced": per_point.count("coalesced")}
         self.stats.cache_hits += result.stats.cache_hits
-        self.stats.peer_served += extra["peer_served"]
         self.stats.coalesced += extra["coalesced"]
         self.stats.verify_hits += result.stats.verify_hits
         return result, extra
@@ -533,7 +523,7 @@ class SweepServer:
 
     async def _point(self, plan: SweepPlan, key: WorkKey, settle) -> None:
         """Resolve one pending point of ``plan`` and report its source
-        (``simulated``/``cache``/``peer``/``coalesced``)."""
+        (``simulated``/``cache``/``coalesced``)."""
         point = plan.pending[key]
 
         async def simulate():
@@ -544,14 +534,15 @@ class SweepServer:
             await simulate()
             source = "simulated"
         else:
-            measurement, source, cached = await self._once(
-                self._inflight,
+            measurement, source = await self._once(
                 point.fingerprint,
                 lambda cache: read_measurement(cache, key),
                 simulate,
             )
             if source != "simulated":
-                plan.resolved[key] = (measurement, cached)
+                # ``cached`` as a direct Session.sweep reports it: read
+                # from the shared cache, not simulated this round
+                plan.resolved[key] = (measurement, source == "cache")
         await settle(key, source)
 
     async def _verification(self, plan: SweepPlan, ver) -> None:
@@ -568,8 +559,7 @@ class SweepServer:
         if ver.key is None:  # externals: uncacheable
             await simulate()
             return
-        ver.report, source, _ = await self._once(
-            self._inflight_verify,
+        ver.report, source = await self._once(
             ver.key,
             lambda cache: read_verdict(cache, ver.key),
             simulate,
@@ -577,74 +567,38 @@ class SweepServer:
         if source == "cache":
             plan.stats.verify_hits += 1
 
-    async def _once(self, inflight, key: str, probe, produce):
+    async def _once(self, key: str, probe, produce):
         """Produce the cache entry ``key`` at most once across this
-        server (layer 2) and its peers (layer 3).
+        server (layer 2), after a last cache probe (layer 1).
 
         ``probe(cache)`` reads a finished entry (falsy on a miss);
         ``produce()`` simulates and folds it.  Returns ``(value,
-        source, cached)``; ``cached`` is what a direct
-        :meth:`~repro.api.Session.sweep` would report: served from the
-        shared cache rather than simulated by anyone this round.
+        source)``, ``source`` one of ``cache``/``coalesced``/
+        ``simulated``.
         """
-        holder = inflight.get(key)
+        holder = self._inflight.get(key)
         if holder is not None:
             # layer 2: subscribe to the in-flight identical work
-            value, cached = await holder  # raises if the owner failed
-            return value, "coalesced", cached
+            return await holder, "coalesced"  # raises if the owner failed
         cache = self.session.cache
         # re-probe with no await since the holder check: the plan
         # probed on a worker thread, and an owner that finished since
-        # has put its entry before leaving ``inflight``
+        # has put its entry before leaving ``_inflight``
         value = probe(cache) if cache is not None else None
         if value:
-            return value, "cache", True
+            return value, "cache"
         future = self._loop.create_future()
-        inflight[key] = future
-        source = "simulated"
+        self._inflight[key] = future
         try:
-            claimed = cache is not None and cache.claim(key)
-            if cache is not None and not claimed:
-                # layer 3: a peer process claimed this entry
-                value = await self._await_peer(cache, key, probe)
-                if value:
-                    source = "peer"
-                else:
-                    # peer crashed or stalled: take over (an unclaimed
-                    # duplicate simulation is still correct)
-                    claimed = cache.claim(key)
-            if not value:
-                try:
-                    value = await produce()
-                finally:
-                    # put() dropped a stored entry's claim already; a
-                    # failure, or a result that is not stored (a failed
-                    # §4 check), must not leave peers waiting on it
-                    if claimed:
-                        cache.release(key)
+            value = await produce()
         except BaseException as exc:
             future.set_exception(exc)
             future.exception()  # a lone holder must not warn on GC
             raise
         finally:
-            inflight.pop(key, None)
-        cached = source != "simulated"
-        future.set_result((value, cached))
-        return value, source, cached
-
-    async def _await_peer(self, cache: SweepCache, key: str, probe):
-        """Async twin of :meth:`SweepCache.wait_for`: poll for the
-        claiming peer's entry without blocking the event loop."""
-        deadline = self._loop.time() + self.peer_wait_timeout
-        while True:
-            value = probe(cache)
-            if value:
-                return value
-            if not cache.claim_live(key):
-                return probe(cache)
-            if self._loop.time() >= deadline:
-                return None
-            await asyncio.sleep(self.peer_poll)
+            self._inflight.pop(key, None)
+        future.set_result(value)
+        return value, "simulated"
 
     # ----------------------------------------------- compare and verify
 
@@ -776,7 +730,7 @@ class SweepServer:
         The search loop itself runs on a worker thread (it is ordinary
         blocking orchestration), but every evaluation round is routed
         back onto the event loop through :meth:`_sweep`, so tune
-        evaluations enjoy the same three-layer dedup as sweep points
+        evaluations enjoy the same two-layer dedup as sweep points
         and coalesce with any concurrent client measuring the same
         fingerprints.
         """

@@ -36,7 +36,7 @@ OBJECTIVES = ("time", "speedup")
 
 #: An evaluator runs a batch of single-point specs and returns the
 #: SweepResult.  The default is ``session.sweep``; the serve layer
-#: substitutes one that routes each point through its three-layer dedup.
+#: substitutes one that routes each point through its two-layer dedup.
 Evaluator = Callable[[List[SweepSpec]], SweepResult]
 
 

@@ -187,7 +187,7 @@ def verify_equivalence(
 
     ``skip`` names arrays that are expected to legitimately differ (pass
     ``PipelineReport.dead_arrays``).  ``collective`` selects the
-    collective algorithms both runs use (the §4 claim must hold whatever
+    collective algorithms both runs use (the §4 guarantee must hold whatever
     schedule implements the original's alltoall).  With ``check=True`` a
     mismatch raises :class:`~repro.errors.VerificationError` instead of
     returning a failing report.

@@ -378,7 +378,7 @@ class TestScope:
 
     def test_server_threads_share_the_session_memo(self):
         session = Session()
-        with ThreadedServer(session=session, executor_workers=2) as ts:
+        with ThreadedServer(session=session) as ts:
             with ServeClient(port=ts.port) as client:
                 served = client.sweep(spec(variants=("original",)))
         assert len(session._programs._entries) == 1

@@ -159,16 +159,23 @@ class TestCacheVerb:
         path, payload = next(iter(cache.entries()))
         payload["engine"] = "0.0-dead"
         path.write_text(json.dumps(payload))
+        # and a lock marker as older versions left beside each entry
+        marker = path.with_suffix(".lock")
+        marker.touch()
 
         rc = main(
             ["cache", "prune", "--cache-dir", str(cache_dir), "--dry-run"]
         )
         assert rc == 0
-        assert "would remove 1 stale entries" in capsys.readouterr().out
-        assert path.exists()
+        out = capsys.readouterr().out
+        assert "would remove 1 stale entries" in out
+        assert "would remove 1 lock/in-flight markers" in out
+        assert path.exists() and marker.exists()
 
         assert main(["cache", "prune", "--cache-dir", str(cache_dir)]) == 0
-        assert "removed 1 stale entries" in capsys.readouterr().out
-        assert not path.exists()
+        out = capsys.readouterr().out
+        assert "removed 1 stale entries" in out
+        assert "removed 1 lock/in-flight markers" in out
+        assert not path.exists() and not marker.exists()
         assert main(["cache", "info", "--cache-dir", str(cache_dir)]) == 0
         assert "entries:          1" in capsys.readouterr().out

@@ -10,7 +10,6 @@ ships them.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import json
 import socket
 import threading
@@ -20,9 +19,13 @@ import pytest
 
 from repro.api import Session
 from repro.errors import OverloadError, RequestError, ServeError
-from repro.harness.runner import measurement_from_run
-from repro.harness.sweep import SweepCache, SweepSpec, expand_spec
-from repro.interp.runner import execute_job, job_fingerprint
+from repro.harness.sweep import (
+    SweepCache,
+    SweepSpec,
+    read_measurement,
+    read_verdict,
+)
+from repro.interp.runner import execute_job
 from repro.serve import AsyncServeClient, ServeClient, ThreadedServer
 from repro.serve.protocol import PROTOCOL_VERSION, encode_message
 
@@ -94,6 +97,17 @@ class TestProtocol:
             encode_message({"type": "status", "id": "x", "protocol": 99}),
         )
         assert ev["event"] == "error" and ev["error"] == "RequestError"
+
+    def test_a_version_1_client_is_refused(self, served):
+        """Version 1 results carried ``peer_served``, which a version 1
+        client reads: it gets a clean refusal instead of a KeyError."""
+        ts, _ = served
+        ev = _raw_exchange(
+            ts.port,
+            encode_message({"type": "status", "id": "x", "protocol": 1}),
+        )
+        assert ev["event"] == "error" and ev["error"] == "RequestError"
+        assert "protocol version 1 not supported" in ev["message"]
 
     def test_invalid_spec_is_a_request_error(self, served):
         ts, _ = served
@@ -190,10 +204,7 @@ class TestDedup:
         assert stats["points_requested"] == 8
         assert stats["simulations"] == 2  # one per unique fingerprint
         assert stats["dedup_ratio"] == pytest.approx(0.25)
-        assert (
-            stats["coalesced"] + stats["cache_hits"] + stats["peer_served"]
-            == 6
-        )
+        assert stats["coalesced"] + stats["cache_hits"] == 6
         # every client saw the same measurements
         tables = [
             [r["measurement"] for r in res["runs"]] for res in results
@@ -235,48 +246,66 @@ class TestDedup:
             r["measurement"] for r in first["result"]["runs"]
         ]
 
-    def test_peer_claim_is_awaited_not_duplicated(self, served):
-        """A fingerprint claimed by another *process* (here: the test,
-        via the shared cache) must be waited for, not re-simulated."""
-        ts, cache_dir = served
-        spec = tiny_spec()
-        points, _ = expand_spec(spec)
+    def test_two_servers_share_one_directory(self, tmp_path, monkeypatch):
+        """Two servers on one cache directory do not coordinate: both
+        may simulate a point, but determinism (§3.2) and the atomic put
+        leave one readable entry per key with the direct results, and
+        later submissions to either server simulate nothing."""
+        import repro.serve.server as server_mod
+
+        def slow_execute(job):
+            time.sleep(0.3)
+            return execute_job(job)
+
+        monkeypatch.setattr(server_mod, "execute_job", slow_execute)
+        cache_dir = tmp_path / "cache"
+        spec = tiny_spec(verify=True)
+        with ThreadedServer(cache_dir=cache_dir) as a, ThreadedServer(
+            cache_dir=cache_dir
+        ) as b:
+            results = {}
+            barrier = threading.Barrier(2)
+
+            def submit(ts):
+                with ServeClient(port=ts.port) as client:
+                    barrier.wait()
+                    results[ts.port] = client.sweep(spec)
+
+            threads = [
+                threading.Thread(target=submit, args=(ts,)) for ts in (a, b)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            for ts in (a, b):
+                with ServeClient(port=ts.port) as client:
+                    again = client.sweep(spec)["stats"]
+                assert again["simulated"] == again["verify_simulated"] == 0
+
+        direct = [r.measurement.to_dict() for r in Session().sweep(spec).runs]
+        for result in results.values():
+            assert [r["measurement"] for r in result["runs"]] == direct
         cache = SweepCache(cache_dir)
-        fingerprints = [job_fingerprint(p.job) for p in points]
-        for fp in fingerprints:
-            assert cache.claim(fp)
+        kinds = []
+        for _, payload in cache.entries():
+            kinds.append(payload["kind"])
+            if payload["kind"] == "measurement":
+                assert read_measurement(cache, payload["key"]) is not None
+            else:
+                assert read_verdict(cache, payload["key"]).equivalent
+        assert sorted(kinds) == ["measurement", "measurement", "verify"]
 
-        result_box = {}
-
-        def submitter():
-            with ServeClient(port=ts.port) as client:
-                result_box["result"] = client.sweep(spec)
-
-        t = threading.Thread(target=submitter)
-        t.start()
-        time.sleep(0.3)
-        assert "result" not in result_box  # blocked on our claims
-        # the "peer" (this test) finishes its simulations and publishes
-        for point, fp in zip(points, fingerprints):
-            run = execute_job(dataclasses.replace(point.job, label=""))
-            m = measurement_from_run(
-                run, network=point.job.network, collective=point.job.collective
-            )
-            cache.put(
-                fp,
-                {
-                    "kind": "measurement",
-                    "inputs": dict(point.axes),
-                    "measurement": m.to_dict(),
-                },
-            )
-        t.join(timeout=30)
-        assert not t.is_alive()
-
-        stats = result_box["result"]["stats"]
-        assert stats["simulated"] == 0
-        assert stats["peer_served"] == 2
-        assert all(r["cached"] for r in result_box["result"]["runs"])
+    def test_a_served_sweep_leaves_only_entries(self, served):
+        """A cold, verified sweep leaves its entries under the cache
+        root and no lock or in-flight marker beside them."""
+        ts, cache_dir = served
+        with ServeClient(port=ts.port) as client:
+            stats = client.sweep(tiny_spec(verify=True))["stats"]
+        assert stats["simulated"] == 2 and stats["verify_simulated"] == 2
+        files = [p for p in cache_dir.rglob("*") if p.is_file()]
+        assert len(files) == 3
+        assert all(p.suffix == ".json" for p in files)
 
 
 class TestBackpressureAndLifecycle:

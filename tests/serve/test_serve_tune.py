@@ -1,7 +1,7 @@
 """The serve ``tune`` verb end-to-end (DESIGN.md §11/§12).
 
 A real :class:`ThreadedServer` runs the search server-side: every
-candidate evaluation flows through the same three-layer dedup as sweep
+candidate evaluation flows through the same two-layer dedup as sweep
 points, per-evaluation ``step`` events stream to the client, and a
 warm re-run of the same seeded search answers entirely from cache.
 """
