@@ -1,6 +1,6 @@
 """Static analyses: affine algebra, dependence testing (Omega-lite),
-array regions (partial triplets), loop-nest facts, interprocedural
-mutation, and transformation-opportunity detection.
+loop-nest facts, interprocedural mutation, and transformation-opportunity
+detection.
 """
 
 from .affine import Affine, to_affine, try_affine  # noqa: F401
@@ -42,16 +42,6 @@ from .patterns import (  # noqa: F401
     Rejection,
     find_opportunities,
 )
-from .regions import (  # noqa: F401
-    BlockStructure,
-    Region,
-    Triplet,
-    VarRange,
-    access_region,
-    block_structure,
-    covers_dimension,
-    subscript_triplet,
-)
 
 __all__ = [
     "Affine",
@@ -70,8 +60,5 @@ __all__ = [
     "find_opportunities",
     "Opportunity",
     "PatternKind",
-    "Region",
-    "access_region",
-    "block_structure",
     "parameter_values",
 ]

@@ -25,7 +25,6 @@ from ..lang.ast_nodes import (
     UnaryOp,
     VarRef,
 )
-from ..lang import builder as b
 
 
 @dataclass(frozen=True)
@@ -134,37 +133,6 @@ class Affine:
                 raise NotAffineError(f"unbound variable {v!r} in evaluation")
             total += c * int(bindings[v])
         return total
-
-    def partial_evaluate(self, bindings: Mapping[str, int]) -> "Affine":
-        """Substitute known values, keeping unknown variables symbolic."""
-        d: Dict[str, int] = {}
-        const = self.const
-        for v, c in self.coeffs:
-            if v in bindings:
-                const += c * int(bindings[v])
-            else:
-                d[v] = d.get(v, 0) + c
-        return Affine.from_dict(d, const)
-
-    # -- conversion ----------------------------------------------------------
-
-    def to_ast(self) -> Expr:
-        """Rebuild an AST expression for code generation."""
-        expr: Expr = IntLit(value=self.const) if self.const or not self.coeffs else None  # type: ignore[assignment]
-        for v, c in self.coeffs:
-            term: Expr
-            if c == 1:
-                term = VarRef(name=v)
-            elif c == -1:
-                term = UnaryOp(op="-", operand=VarRef(name=v))
-            else:
-                term = b.mul(abs(c), VarRef(name=v))
-                if c < 0:
-                    term = UnaryOp(op="-", operand=term)
-            expr = term if expr is None else b.add(expr, term)
-        if expr is None:
-            expr = IntLit(value=0)
-        return expr
 
     def __str__(self) -> str:  # pragma: no cover - debug aid
         parts = [f"{c}*{v}" for v, c in self.coeffs]

@@ -14,11 +14,10 @@ Subcommands mirror the workflow of the paper's system:
 ``networks``   list the registered network scenarios (the preset registry)
 ``collectives`` list the registered collective algorithms (defaults marked)
 ``variants``   list the registered transformation-variant pipelines
-``figure1``    regenerate the paper's Figure 1 table
-``bench``      run one or all ablation tables
-``sweep``      the declarative sweep engine: run figure/ablation sweeps
-               (or a custom/JSON spec) through the content-addressed
-               result cache, optionally sharded over a process pool
+``sweep``      regenerate the paper's Figure 1 or an ablation table
+               (``sweep TARGET``), or run a custom/JSON spec, through
+               the content-addressed result cache, optionally sharded
+               over a process pool
 ``tune``       search the variant x tile x collective x network x nranks
                knob space for the best configuration (DESIGN.md §12):
                a registered strategy proposes candidates, every
@@ -41,15 +40,14 @@ Every ``--network`` flag accepts any name from the scenario registry
 (striped dual-rail NICs), ``gm-congested`` (queued-transfer dilation),
 ``rdma-100g`` (modern RDMA-class profile), and ``tcp-10g`` (modern
 host-driven Ethernet).  Models registered at runtime via
-``register_model`` become selectable the same way.  ``bench`` takes
-``--network`` to re-run any ablation under any scenario and
-``--processes`` to fan the scenario sweep out over a process pool.
+``register_model`` become selectable the same way.  ``sweep TARGET
+--network X`` re-runs an ablation under any scenario.
 
 ``--collective`` selects collective algorithms from the registry in
 :mod:`repro.runtime.collectives`: a bare algorithm name (``bruck``,
 ``ring``, applied to every collective registering it) or explicit
 ``collective=algorithm`` pairs (``alltoall=bruck,allreduce=ring``).
-``bench collectives`` sweeps the whole algorithm x network x workload
+``sweep collectives`` sweeps the whole algorithm x network x workload
 axis.
 
 ``--variant`` selects a transformation pipeline from the variant
@@ -57,10 +55,10 @@ registry (:mod:`repro.transform.pipeline`): ``original``, ``prepush``,
 partial ablations like ``tile-only``/``no-interchange``/
 ``prepush-schemeB-off``, or any pipeline registered at runtime with
 ``register_variant``.  ``run --variant X`` transforms before
-simulating (``--report`` prints the per-pass chain); ``bench
+simulating (``--report`` prints the per-pass chain); ``sweep
 variants`` sweeps the whole variant x network x workload axis.
 
-``--engine-mode`` (on ``run``/``bench``/``sweep``) selects the
+``--engine-mode`` (on ``run``/``sweep``) selects the
 simulation engine (DESIGN.md §10): ``auto`` (default) replays one
 recorded trace for every rank when the program is provably
 rank-symmetric — the scaling path to 1024+ ranks — and falls back to
@@ -80,11 +78,11 @@ Examples::
     compuniformer networks
     compuniformer collectives
     compuniformer variants
-    compuniformer figure1 --n 32
-    compuniformer bench tile_size --network gm-2rail
-    compuniformer bench workloads --collective ring
-    compuniformer bench nodeloop --variant tile-only
-    compuniformer bench scenarios --processes 8
+    compuniformer sweep figure1 --n 32 -K 4 --no-cache
+    compuniformer sweep tile_size --network gm-2rail --no-cache
+    compuniformer sweep workloads --collective ring
+    compuniformer sweep nodeloop --variant tile-only
+    compuniformer sweep scenarios --jobs 8
     compuniformer sweep figure1 --cache-dir .sweep-cache --jobs 4
     compuniformer sweep all --cache-dir .sweep-cache
     compuniformer sweep variants --variant prepush-schemeB-off
@@ -101,11 +99,15 @@ Examples::
     compuniformer cache info --cache-dir .sweep-cache
     compuniformer cache prune --cache-dir .sweep-cache --dry-run
 
-``sweep`` is the cached path to every figure: the first (cold) run
+``sweep TARGET`` is the one path to every figure: the first (cold) run
 simulates and fills ``--cache-dir``; re-runs reproduce the same tables
 bit-identically with **zero** simulations (DESIGN.md §7 defines the
-content-addressed key and its invalidation rules).  ``--jobs N`` shards
-the cold run's simulations over a process pool.
+content-addressed key and its invalidation rules).  ``--no-cache``
+always simulates, and ``--jobs N`` shards the simulations over a
+process pool.  A target forwards each single-valued flag (``--n``,
+``--nranks``, ``-K``, ``--network``, ``--variant``, ...) to the figure
+that takes it and rejects one it cannot honor; ``all`` forwards flags
+where they apply.
 """
 
 from __future__ import annotations
@@ -141,7 +143,9 @@ from .runtime.network import get_model, list_models
 from .transform.options import TransformOptions
 from .transform.pipeline import get_variant, list_variants
 
-_BENCHES = {
+#: ``sweep TARGET`` -> the figure function that regenerates it
+_FIGURES = {
+    "figure1": figure1,
     "tile_size": ablation_tile_size,
     "scaling": ablation_scaling,
     "network": ablation_network,
@@ -379,42 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="list the registered transformation-variant pipelines",
     )
 
-    p = sub.add_parser("figure1", help="regenerate the paper's Figure 1")
-    p.add_argument("--n", type=int, default=32, help="cube edge (default 32)")
-    p.add_argument("--nranks", type=int, default=8)
-    p.add_argument("-K", "--tile-size", type=_tile_size, default="auto")
-    p.add_argument("--cpu-scale", type=float, default=8.0)
-
-    p = sub.add_parser("bench", help="run ablation tables")
-    p.add_argument(
-        "name",
-        nargs="?",
-        choices=sorted(_BENCHES) + ["all"],
-        default="all",
-    )
-    p.add_argument(
-        "--network",
-        choices=list_models(),
-        default=None,
-        help="run the ablation under this scenario "
-        "(with 'all': where applicable)",
-    )
-    p.add_argument(
-        "--processes",
-        type=int,
-        default=None,
-        help="session process-pool size shared by the bench sweeps",
-    )
-    p.add_argument(
-        "--variant",
-        choices=list_variants(),
-        default=None,
-        help="treatment-arm pipeline for the ablations that compare "
-        "original vs one variant (with 'all': where applicable)",
-    )
-    _add_collective_arg(p)
-    _add_engine_mode_arg(p)
-
     p = sub.add_parser(
         "sweep",
         help="run figure/ablation (or custom) sweeps through the "
@@ -424,9 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
         "target",
         nargs="?",
         default=None,
-        choices=sorted(_BENCHES) + ["figure1", "all"],
-        help="figure/ablation to sweep (default: all; ignored with "
-        "--spec/--app)",
+        choices=sorted(_FIGURES) + ["all"],
+        help="figure/ablation to sweep (default: all; not combinable "
+        "with --spec/--app)",
     )
     _add_spec_axis_args(p)
     p.add_argument(
@@ -829,23 +797,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(f"{name:20s} {build_app(name).description}")
         return 0
 
-    if args.command == "figure1":
-        table = figure1(
-            n=args.n,
-            nranks=args.nranks,
-            tile_size=args.tile_size,
-            cpu_scale=args.cpu_scale,
-            session=Session(),
-        )
-        print(table.render())
-        labels = [
-            f"{row[0]}/{row[1]}" for row in table.rows
-        ]
-        values = [float(row[3]) for row in table.rows]
-        print()
-        print(bar_chart(labels, values, unit="x"))
-        return 0
-
     if args.command == "networks":
         for name in list_models():
             m = get_model(name)
@@ -879,18 +830,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             pipe = get_variant(name)
             chain = " -> ".join(p.name for p in pipe.passes)
             print(f"{name:20s} {chain or '(empty: program unchanged)'}")
-        return 0
-
-    if args.command == "bench":
-        names = sorted(_BENCHES) if args.name == "all" else [args.name]
-        with Session(
-            jobs=args.processes, engine_mode=args.engine_mode
-        ) as session:
-            for name in names:
-                fn = _BENCHES[name]
-                kwargs = _bench_kwargs(fn, args, strict=args.name != "all")
-                print(fn(session=session, **kwargs).render())
-                print()
         return 0
 
     if args.command == "sweep":
@@ -983,15 +922,14 @@ def _check_figure_flags(
     parameter names), in which case the repeated values feed that axis.
     Single-valued flags a specific figure does not accept error in
     :func:`_figure_kwargs` — only ``all`` forwards flags "where
-    applicable", like ``bench`` does.
+    applicable".
     """
     accepted = accepted or set()
     rejected = []
-    if args.tile_size:
-        rejected.append("--tile-size/-K")
     if args.interchange:
         rejected.append("--interchange")
     for flag, values in (
+        ("--tile-size/-K", args.tile_size),
         ("--nranks", args.nranks),
         ("--network", args.network),
         ("--collective", args.collective),
@@ -1009,38 +947,23 @@ def _check_figure_flags(
         )
 
 
-def _bench_kwargs(fn, args: argparse.Namespace, strict: bool) -> dict:
-    """Forward ``bench``'s --network/--collective/--variant flags to the
-    keywords ``fn`` accepts: a figure that sweeps its own networks or
-    variants takes the flag as a one-element axis, and a single named
-    bench that takes none of them rejects it (:func:`_forward_flags`)."""
-    return _forward_flags(
-        fn,
-        {
-            "network": ("--network", args.network),
-            "networks": (
-                "--network",
-                (args.network,) if args.network else None,
-            ),
-            "collective": ("--collective", args.collective),
-            "variant": ("--variant", args.variant),
-            "variants": (
-                "--variant",
-                (args.variant,) if args.variant else None,
-            ),
-        },
-        strict,
-    )
-
-
 def _figure_kwargs(fn, args: argparse.Namespace, strict: bool) -> dict:
-    """Forward the sweep flags a figure function actually accepts (see
-    :func:`_forward_flags`)."""
+    """The sweep flags that were provided and that ``fn`` accepts, as
+    its keywords.
+
+    With ``strict`` (a single named target), a provided flag the figure
+    does not accept is an error rather than a silent no-op; ``all``
+    forwards flags where applicable.
+    """
     candidates = {
         "n": ("--n", args.n),
         "nranks": ("--nranks", args.nranks[0] if args.nranks else None),
         "steps": ("--steps", args.steps),
         "stages": ("--stages", args.stages),
+        "tile_size": (
+            "--tile-size/-K",
+            args.tile_size[0] if args.tile_size else None,
+        ),
         "cpu_scale": (
             "--cpu-scale",
             args.cpu_scale[0] if args.cpu_scale else None,
@@ -1061,17 +984,6 @@ def _figure_kwargs(fn, args: argparse.Namespace, strict: bool) -> dict:
         ),
         "verify": ("--no-verify", False if args.no_verify else None),
     }
-    return _forward_flags(fn, candidates, strict)
-
-
-def _forward_flags(fn, candidates: dict, strict: bool) -> dict:
-    """The keywords of ``candidates`` (keyword -> (flag, value or
-    None)) that were provided and that ``fn`` accepts.
-
-    With ``strict`` (a single named target), a provided flag the figure
-    does not accept is an error rather than a silent no-op; ``all``
-    forwards flags where applicable.
-    """
     accepted = inspect.signature(fn).parameters
     provided = {
         key: (flag, value)
@@ -1166,6 +1078,11 @@ def _sweep_command(args: argparse.Namespace) -> int:
         if args.spec or args.app:
             if args.spec and args.app:
                 raise ReproError("--spec and --app are mutually exclusive")
+            if args.target:
+                raise ReproError(
+                    f"figure target {args.target!r} and --spec/--app are "
+                    "mutually exclusive"
+                )
             specs = (
                 _load_spec_file(args.spec) if args.spec else [_custom_spec(args)]
             )
@@ -1176,26 +1093,35 @@ def _sweep_command(args: argparse.Namespace) -> int:
             artifact["result"] = res.to_json()
             print(f"sweep: {res.stats.summary()}", file=sys.stderr)
         else:
-            figures = dict(_BENCHES, figure1=figure1)
             target = args.target or "all"
             strict = target != "all"
             _check_figure_flags(
                 args,
                 accepted=(
-                    set(inspect.signature(figures[target]).parameters)
+                    set(inspect.signature(_FIGURES[target]).parameters)
                     if strict
                     else None
                 ),
             )
-            names = sorted(figures) if target == "all" else [target]
-            for name in names:
-                fn = figures[name]
+            names = sorted(_FIGURES) if target == "all" else [target]
+            for i, name in enumerate(names):
+                fn = _FIGURES[name]
                 table = fn(
                     session=session,
                     **_figure_kwargs(fn, args, strict),
                 )
+                if i:
+                    print()
                 print(table.render())
-                print()
+                if name == "figure1":
+                    print()
+                    print(
+                        bar_chart(
+                            [f"{row[0]}/{row[1]}" for row in table.rows],
+                            [float(row[3]) for row in table.rows],
+                            unit="x",
+                        )
+                    )
                 artifact["tables"].append(_table_to_json(table))
 
         if session.cache is not None:

@@ -10,7 +10,7 @@ Three mechanisms:
   pre-push transformation needs.
 
 Plus structural helpers: :func:`clone` (deep copy), :func:`find_all`,
-:func:`contains_name`, :func:`replace_var`, and :func:`substitute`.
+:func:`contains_name`, and :func:`substitute`.
 """
 
 from __future__ import annotations
@@ -76,11 +76,6 @@ def substitute(expr: Expr, bindings: Dict[str, Expr]) -> Expr:
             return node
 
     return _Sub().visit(clone(expr))
-
-
-def replace_var(expr: Expr, old: str, new: str) -> Expr:
-    """Rename variable ``old`` to ``new`` in a copy of ``expr``."""
-    return substitute(expr, {old: VarRef(name=new)})
 
 
 class ExprTransformer:

@@ -34,7 +34,7 @@ import numpy as np
 
 from ..errors import SimulationError
 from .collectives import CollectiveSpec, get_algorithm, reduce_ufunc, resolve_suite
-from .events import Barrier, Compute, Irecv, Isend, LocalCopy, SimOp, Wait
+from .events import Barrier, Compute, Irecv, Isend, SimOp, Wait
 
 Gen = Generator[SimOp, Any, Any]
 
@@ -229,6 +229,3 @@ class SimComm:
     def compute(self, seconds: float) -> Gen:
         """Charge ``seconds`` of computation to this rank's clock."""
         yield Compute(seconds=seconds)
-
-    def local_copy(self, nbytes: int) -> Gen:
-        yield LocalCopy(nbytes=nbytes)

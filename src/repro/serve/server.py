@@ -207,12 +207,6 @@ class SweepServer:
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
-    async def serve_forever(self) -> None:
-        """Run until :meth:`shutdown` completes."""
-        if self._server is None:
-            await self.start()
-        await self._closed.wait()
-
     async def wait_closed(self) -> None:
         await self._closed.wait()
 

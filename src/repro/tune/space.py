@@ -316,12 +316,6 @@ class SearchSpace:
                 return axis
         return None
 
-    def default_value(self, name: str) -> Any:
-        """The pinned value of an undeclared knob, or the first value
-        of its declared axis (the deterministic search start)."""
-        axis = self.axis(name)
-        return axis.values[0] if axis is not None else _AXIS_DEFAULTS[name]
-
     def default_candidate(self) -> Candidate:
         """The deterministic starting point: every axis at its first
         declared value."""
@@ -418,28 +412,12 @@ class SearchSpace:
             {a.name: rng.choice(a.values) for a in self.axes}
         )
 
-    def neighbors(self, candidate: Mapping[str, Any]) -> List[Candidate]:
-        """Every canonical candidate one axis move away (all alternate
-        values of each axis, other axes fixed), deduplicated, the
-        candidate itself excluded — the hill-climb neighborhood."""
-        base = self.normalize(candidate)
-        base_key = self.candidate_key(base)
-        seen = {base_key}
-        out: List[Candidate] = []
-        for axis in self.axes:
-            for value in axis.values:
-                cand = self.normalize(dict(base, **{axis.name: value}))
-                key = self.candidate_key(cand)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(cand)
-        return out
-
     def axis_moves(
         self, candidate: Mapping[str, Any], name: str
     ) -> List[Candidate]:
-        """The :meth:`neighbors` restricted to one axis (coordinate-
-        descent's per-axis proposal set)."""
+        """Every canonical candidate one move along axis ``name`` away
+        (other axes fixed), deduplicated, the candidate itself excluded:
+        the hill-climb and coordinate-descent proposal sets."""
         axis = self.axis(name)
         if axis is None:
             return []

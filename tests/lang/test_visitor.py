@@ -19,7 +19,6 @@ from repro.lang.visitor import (
     ExprTransformer,
     find_enclosing_body,
     index_of,
-    replace_var,
     rewrite_body,
     statements,
 )
@@ -71,12 +70,6 @@ class TestCloneAndSubstitute:
         # top + two copies
         assert len(occurrences) == 3
         assert occurrences[1] is not occurrences[2]
-
-    def test_replace_var(self):
-        e = parse_expr("a(i) + i")
-        out = replace_var(e, "i", "t")
-        assert contains_name(out, "t")
-        assert not contains_name(out, "i")
 
 
 class TestExprTransformer:

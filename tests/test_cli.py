@@ -219,9 +219,15 @@ class TestSweep:
     def test_figure_target_rejects_axis_flags(self, capsys):
         """Flags a figure target cannot honor must error, not silently
         run a different sweep than the one asked for."""
-        rc = main(["sweep", "figure1", "-K", "4", "--no-cache"])
+        rc = main(["sweep", "network", "-K", "4", "--no-cache"])
         assert rc == 1
-        assert "custom sweeps" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--tile-size/-K not supported by this figure target" in err
+
+        rc = main(["sweep", "figure1", "-K", "4", "-K", "8", "--no-cache"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "repeated --tile-size/-K" in err and "custom sweeps" in err
 
         rc = main(
             [
@@ -236,6 +242,31 @@ class TestSweep:
         )
         assert rc == 1
         assert "repeated --network" in capsys.readouterr().err
+
+    def test_figure1_forwards_tile_size_and_prints_chart(
+        self, monkeypatch, capsys
+    ):
+        seen = []
+        figure1 = cli._FIGURES["figure1"]
+
+        @functools.wraps(figure1)
+        def recorder(**kwargs):
+            seen.append(kwargs["tile_size"])
+            return figure1(**kwargs)
+
+        monkeypatch.setitem(cli._FIGURES, "figure1", recorder)
+        assert main(self.FIGURE_ARGS + ["-K", "4", "--no-cache"]) == 0
+        assert seen == [4]
+        table, chart = capsys.readouterr().out.split("\n\n")
+        assert "Figure 1" in table
+        assert "mpich-gm/prepush  | " in chart and chart.endswith("x\n")
+
+    def test_figure_target_with_spec_or_app_conflict(self, capsys):
+        rc = main(["sweep", "figure1", "--app", "fft", "--no-cache"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "figure target 'figure1' and --spec/--app are mutually " \
+            "exclusive" in err
 
     def test_figure_target_rejects_unaccepted_flag(self, capsys):
         # ablation_scenarios sweeps every scenario itself: a single
@@ -418,7 +449,7 @@ end program ring
 
 
 class TestEngineMode:
-    """--engine-mode on run/bench/sweep (DESIGN.md §10)."""
+    """--engine-mode on run/sweep (DESIGN.md §10)."""
 
     @pytest.fixture
     def p2p_file(self, tmp_path):
@@ -469,7 +500,9 @@ class TestEngineMode:
         assert "invalid choice" in capsys.readouterr().err
 
     def test_bench_accepts_engine_mode(self, capsys):
-        rc = main(["bench", "nodeloop", "--engine-mode", "full"])
+        rc = main(
+            ["sweep", "nodeloop", "--engine-mode", "full", "--no-cache"]
+        )
         assert rc == 0
         assert "Ablation E" in capsys.readouterr().out
 
@@ -503,56 +536,64 @@ class TestEngineMode:
 
 
 _FLAGS = {"--network": "gmnet", "--collective": "bruck",
-          "--variant": "tile-only"}
+          "--variant": "tile-only", "-K": "4"}
 _ONE_ARM = {
     "--network": {"network": "gmnet"},
     "--collective": {"collective": "bruck"},
     "--variant": {"variant": "tile-only"},
+    "-K": None,
 }
-#: (bench, flag) -> the keywords ``bench`` forwards: the figures that
-#: sweep their own networks/variants take the flag as a one-element
+#: (figure, flag) -> the keywords ``sweep FIGURE`` forwards: the figures
+#: that sweep their own networks/variants take the flag as a one-element
 #: axis, and a figure that cannot take the flag rejects it (``None``)
-_BENCH_KWARGS = {
+_FIGURE_KWARGS = {
     **{(name, flag): kwargs for name in
        ("nodeloop", "scaling", "tile_size", "workloads")
        for flag, kwargs in _ONE_ARM.items()},
+    ("figure1", "--network"): None,
+    ("figure1", "--collective"): None,
+    ("figure1", "--variant"): {"variant": "tile-only"},
+    ("figure1", "-K"): {"tile_size": 4},
     ("collectives", "--network"): {"networks": ("gmnet",)},
     ("collectives", "--collective"): None,
     ("collectives", "--variant"): None,
+    ("collectives", "-K"): None,
     ("variants", "--network"): {"networks": ("gmnet",)},
     ("variants", "--collective"): None,
     ("variants", "--variant"): {"variants": ("tile-only",)},
+    ("variants", "-K"): None,
     **{(name, flag): None for name in ("network", "scenarios")
        for flag in _FLAGS},
 }
 
 
 class TestBenchForwarding:
-    """``bench`` forwards --network/--collective/--variant to exactly the
-    keywords each figure's signature accepts."""
+    """``sweep FIGURE`` forwards --network/--collective/--variant/-K to
+    exactly the keywords each figure's signature accepts (the figures
+    the retired ``bench`` verb ran, plus Figure 1)."""
 
     @staticmethod
     def _record(monkeypatch, name):
         seen = []
 
-        @functools.wraps(cli._BENCHES[name])
+        @functools.wraps(cli._FIGURES[name])
         def recorder(*, session, **kwargs):
             seen.append(kwargs)
             return Table(title=name, columns=["x"])
 
-        monkeypatch.setitem(cli._BENCHES, name, recorder)
+        monkeypatch.setitem(cli._FIGURES, name, recorder)
         return seen
 
     def test_table_covers_every_bench(self):
-        assert {name for name, _ in _BENCH_KWARGS} == set(cli._BENCHES)
+        assert {name for name, _ in _FIGURE_KWARGS} == set(cli._FIGURES)
 
-    @pytest.mark.parametrize("name, flag", sorted(_BENCH_KWARGS))
+    @pytest.mark.parametrize("name, flag", sorted(_FIGURE_KWARGS))
     def test_forwarded_kwargs(self, name, flag, monkeypatch, capsys):
         seen = self._record(monkeypatch, name)
-        expected = _BENCH_KWARGS[name, flag]
-        rc = main(["bench", name, flag, _FLAGS[flag]])
+        expected = _FIGURE_KWARGS[name, flag]
+        rc = main(["sweep", name, flag, _FLAGS[flag], "--no-cache"])
         if expected is None:
-            # the same error `sweep` gives, before anything runs
+            # rejected before anything runs
             assert rc == 1 and seen == []
             err = capsys.readouterr().err
             assert f"{flag} not supported by this figure target" in err
@@ -565,14 +606,14 @@ class TestBenchForwarding:
     def test_bench_all_forwards_where_applicable(
         self, flag, monkeypatch, capsys
     ):
-        seen = {name: self._record(monkeypatch, name) for name in cli._BENCHES}
-        assert main(["bench", "all", flag, _FLAGS[flag]]) == 0
+        seen = {name: self._record(monkeypatch, name) for name in cli._FIGURES}
+        assert main(["sweep", "all", flag, _FLAGS[flag], "--no-cache"]) == 0
         assert seen == {
-            name: [_BENCH_KWARGS[name, flag] or {}] for name in cli._BENCHES
+            name: [_FIGURE_KWARGS[name, flag] or {}] for name in cli._FIGURES
         }
 
-    @pytest.mark.parametrize("name", sorted(cli._BENCHES))
+    @pytest.mark.parametrize("name", sorted(cli._FIGURES))
     def test_no_flags_forward_nothing(self, name, monkeypatch):
         seen = self._record(monkeypatch, name)
-        assert main(["bench", name]) == 0
+        assert main(["sweep", name, "--no-cache"]) == 0
         assert seen == [{}]

@@ -13,6 +13,12 @@ name, in a string annotation or in an ``__all__``.  Exempt are
 definitions a registering decorator hands to its registry, names of the
 declared API surface (``tests/api_surface.txt``) and the short list of
 test-support helpers below.
+
+A method of a top-level class has a caller when its name appears under
+``src/repro`` as an identifier or attribute, or as part of a dotted name
+inside a string that is not a docstring (generated code such as
+``"itp._read_element"``).  Free text does not count.  Exempt are dunders,
+``visit_*`` dispatch targets and the allow-list below.
 """
 
 import ast
@@ -30,11 +36,32 @@ API_SURFACE = Path(__file__).resolve().parent / "api_surface.txt"
 REGISTERING_DECORATORS = {"_constraint", "register_algorithm"}
 
 #: definitions only the tests call: the AST builders test fixtures
-#: construct programs with, and helpers pinned by their own tests
+#: construct programs with
 TEST_SUPPORT = {
     "lang/builder.py": {"lit", "aref", "slice_", "array_decl"},
-    "lang/visitor.py": {"replace_var"},
-    "analysis/regions.py": {"dim_extent"},
+}
+
+#: methods with no caller under ``src/repro``, and why each stays
+CALLERLESS_METHODS = {
+    "runtime/mpi.py": {
+        "SimComm.outstanding_sends": "request-table probe of test_mpi.py",
+        "SimComm.outstanding_recvs": "request-table probe of test_mpi.py",
+        "SimComm.compute": "rank-program driver of test_mpi.py",
+    },
+    "transform/tiling.py": {
+        "Tiling.tile_of": "the per-iteration oracle of test_tiling.py",
+        "Tiling.is_tile_end": "the per-iteration oracle of test_tiling.py",
+    },
+    "lang/ast_nodes.py": {
+        "SourceFile.subroutine": "lookup by name for library users",
+    },
+    "analysis/affine.py": {
+        "Affine.shift": "constant offset, part of the affine algebra",
+    },
+    "harness/runner.py": {
+        "PairResult.overhead_reduction": "derived figure of the result "
+        "Session.compare returns",
+    },
 }
 
 
@@ -171,6 +198,109 @@ def test_every_top_level_definition_has_a_caller():
         for module, name in found
         if name not in TEST_SUPPORT.get(module, ())
     ] == []
+
+
+_DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
+
+
+def _docstrings(tree: ast.AST) -> set:
+    """``id`` of each docstring constant of ``tree``."""
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(
+            node,
+            (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef),
+        )
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+        and isinstance(node.body[0].value.value, str)
+    }
+
+
+def method_references(tree: ast.AST) -> set:
+    """Identifiers, attributes and the parts of each dotted name inside
+    a non-docstring string of ``tree``."""
+    referenced = _names_in(tree)
+    docstrings = _docstrings(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            referenced.add(node.attr)
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docstrings
+        ):
+            for dotted in _DOTTED.findall(node.value):
+                referenced |= set(dotted.split("."))
+    return referenced
+
+
+def callerless_methods(sources):
+    """``(module, "Class.method")`` for each method of a top-level class
+    of ``sources`` (module name -> source text) that no module names."""
+    referenced = set()
+    methods = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        referenced |= method_references(tree)
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef)
+                ):
+                    continue
+                name = node.name
+                dunder = name.startswith("__") and name.endswith("__")
+                if not dunder and not name.startswith("visit_"):
+                    methods.append((module, cls.name, name))
+    return sorted(
+        (module, f"{cls}.{name}")
+        for module, cls, name in methods
+        if name not in referenced
+    )
+
+
+def test_every_method_has_a_caller():
+    sources = {
+        str(p.relative_to(SRC)): p.read_text(encoding="utf-8")
+        for p in sorted(SRC.rglob("*.py"))
+    }
+    # equality, so an allow-list entry whose method gained a caller or
+    # was deleted fails too
+    assert callerless_methods(sources) == sorted(
+        (module, name)
+        for module, names in CALLERLESS_METHODS.items()
+        for name in names
+    )
+
+
+def test_method_scan_counts_dotted_strings_not_docstrings():
+    sources = {
+        "a.py": (
+            "class A:\n"
+            "    '''A.documented is named only in docstrings.'''\n"
+            "    def called(self): pass\n"
+            "    def generated(self): pass\n"
+            "    def documented(self):\n"
+            "        '''See self.documented and A.documented.'''\n"
+            "    def mentioned(self): pass\n"
+            "    def __len__(self): return 0\n"
+            "    def visit_Node(self, node): pass\n"
+            "    class Inner:\n"
+            "        def nested(self): pass\n"
+            "def f(a):\n"
+            "    a.called()\n"
+            "    return f'x = itp.generated({a})', 'the mentioned value'\n"
+        ),
+    }
+    assert callerless_methods(sources) == [
+        ("a.py", "A.documented"),
+        ("a.py", "A.mentioned"),
+    ]
 
 
 def test_definition_scan_honours_registries_and_references():

@@ -187,13 +187,16 @@ class TestEnumeration:
     def test_neighbors_excludes_self_and_dedupes(self):
         space = tiny_space()
         base = {"variant": "original", "tile_size": "auto", "nranks": 4}
-        neigh = space.neighbors(base)
+        neigh = space.axis_moves(base, "variant") + space.axis_moves(
+            base, "tile_size"
+        )
         base_key = space.candidate_key(space.normalize(base))
         keys = [space.candidate_key(c) for c in neigh]
         assert base_key not in keys
         assert len(set(keys)) == len(keys)
         # original+tile=4 collapses back onto the base and is excluded;
         # the single remaining one-axis move is variant -> prepush
+        assert space.axis_moves(base, "tile_size") == []
         assert neigh == [
             {"variant": "prepush", "tile_size": "auto", "nranks": 4}
         ]
