@@ -12,15 +12,17 @@ interpretation would.  Timing is therefore *identical*, not
 approximated: the engine sees the same ops with the same byte counts in
 the same order, and its scheduling is deterministic.
 
-Replay ranks share scratch buffers per trace event *and* one
-collective-staging pool (collective algorithms' control flow depends
-only on rank, size, and partition size, never payload values — see
-:meth:`~repro.runtime.mpi.SimComm.staging_buffer`), run with
-``detect_races=False`` (recorded
-programs are collective-only, hence race-free — full interpretation
-reports no warnings for them either) and ``snapshot_payloads=False``
-(payload contents are already accounted for by the recorder's shadow
-algebra, so copy-on-write snapshots would be pure overhead).
+Replay ranks move no payloads.  Each rank's communicator and the
+engine run payload-free (``payloads=False``): the algorithms emit the
+same ops with the same byte counts but skip every local copy, and the
+engine neither snapshots nor delivers.  Payload contents are already
+accounted for by the recorder's shadow algebra, and a collective
+algorithm's control flow depends only on rank, size and partition size,
+never on payload values.  All ranks therefore share one set of scratch
+buffers per trace event, which nothing writes.  The engine also runs
+with ``detect_races=False``: recorded programs are collective-only,
+hence race-free, and full interpretation reports no warnings for them
+either.
 
 The recorded data is reassembled into the same
 :class:`~repro.interp.runner.ClusterRun` shape full interpretation
@@ -144,9 +146,8 @@ def _replay_rank(
     events: Sequence[TraceEvent],
     scratch: Sequence[Tuple[np.ndarray, ...]],
     collective: CollectiveSpec,
-    staging: Dict[Any, np.ndarray],
 ) -> Generator[SimOp, Any, Any]:
-    comm = SimComm(rank, nranks, collectives=collective, staging=staging)
+    comm = SimComm(rank, nranks, collectives=collective, payloads=False)
     for ev, bufs in zip(events, scratch):
         kind = ev[0]
         if kind == "compute":
@@ -190,19 +191,14 @@ def replay_cluster(
         )
     events = recording.trace
     scratch = _scratch_for(events)
-    # one collective-staging pool for the whole cluster (see
-    # SimComm.staging_buffer): replayed payloads are never read back,
-    # so ranks may share — and at 1024 ranks, per-rank staging would
-    # multiply the footprint by three orders of magnitude
-    staging: Dict[Any, np.ndarray] = {}
     engine = Engine(
         [
-            _replay_rank(rank, nranks, events, scratch, collective, staging)
+            _replay_rank(rank, nranks, events, scratch, collective)
             for rank in range(nranks)
         ],
         resolve_model(network),
         detect_races=False,
-        snapshot_payloads=False,
+        payloads=False,
     )
     result = engine.run()
     return ClusterRun(

@@ -12,9 +12,12 @@ Every algorithm is composed from the same ``Isend``/``Irecv``/``Wait``/
 ``LocalCopy`` primitives the rank programs already use, so the engine
 needs no new op types and timing differences between algorithms arise
 purely from *when* operations are issued — exactly the effect the paper
-measures.  All algorithms of one collective produce bit-identical result
-buffers (integer payloads; reductions are exact), which the test suite
-pins at 2, 4, and 7 ranks.
+measures.  Local data moves go through the communicator's helpers
+(:meth:`~repro.runtime.mpi.SimComm.copy_to` and its siblings), which a
+payload-free communicator skips: the op stream does not change.  All
+algorithms of one collective produce bit-identical result buffers
+(integer payloads; reductions are exact), which the test suite pins at
+2, 4, and 7 ranks.
 
 Registered algorithms:
 
@@ -268,9 +271,10 @@ def _copy_self_partition(comm, send: np.ndarray, recv: np.ndarray, part: int):
     rank = comm.rank
     if part:
         yield LocalCopy(nbytes=int(send[0:part].nbytes))
-        recv[rank * part : (rank + 1) * part] = send[
-            rank * part : (rank + 1) * part
-        ]
+        comm.copy_to(
+            recv[rank * part : (rank + 1) * part],
+            send[rank * part : (rank + 1) * part],
+        )
 
 
 @register_algorithm("alltoall", "pairwise", default=True)
@@ -359,31 +363,22 @@ def _alltoall_bruck(comm, send: np.ndarray, recv: np.ndarray, part: int) -> Gen:
         yield from _copy_self_partition(comm, send, recv, part)
         return
     tag = _ALLTOALL_TAG
-    # all staging below works on (size, part) block views, filled with
-    # ``np.take(..., out=...)`` into comm-provided staging buffers:
-    # per-block Python loops would cost O(P log P) interpreter
-    # round-trips per rank, and per-call allocations O(nranks * buffer)
-    # cluster memory — both dominated 1024-rank replay runs before
-    # being vectorised and pooled
+    # all staging below works on (size, part) block views moved as whole
+    # row sets (comm.take_rows/put_rows): per-block Python loops would
+    # cost O(P log P) interpreter round-trips per rank
     blocks = np.arange(size)
     dtype = send.dtype
     # phase 1: rotate so block i holds the data destined to rank+i
-    tmp = comm.staging_buffer("bruck-tmp", size * part, dtype).reshape(
-        size, part
-    )
-    np.take(send.reshape(size, part), (rank + blocks) % size, axis=0, out=tmp)
+    tmp = comm.staging_buffer(size * part, dtype).reshape(size, part)
+    comm.take_rows(send.reshape(size, part), (rank + blocks) % size, tmp)
     yield LocalCopy(nbytes=int(tmp.nbytes))
     # phase 2: log-round store-and-forward
     pof2 = 1
     while pof2 < size:
         idx = np.nonzero(blocks & pof2)[0]
-        packed = comm.staging_buffer(
-            ("bruck-packed", pof2), idx.size * part, dtype
-        )
-        np.take(tmp, idx, axis=0, out=packed.reshape(idx.size, part))
-        scratch = comm.staging_buffer(
-            ("bruck-scratch", pof2), idx.size * part, dtype
-        )
+        packed = comm.staging_buffer(idx.size * part, dtype)
+        comm.take_rows(tmp, idx, packed.reshape(idx.size, part))
+        scratch = comm.staging_buffer(idx.size * part, dtype)
         yield LocalCopy(nbytes=int(packed.nbytes))  # pack staging copy
         h_r = yield from comm.irecv(
             scratch, source=(size + rank - pof2) % size, tag=tag
@@ -392,13 +387,14 @@ def _alltoall_bruck(comm, send: np.ndarray, recv: np.ndarray, part: int) -> Gen:
             packed, dest=(rank + pof2) % size, tag=tag
         )
         yield from comm.wait([h_r, h_s])
-        tmp[idx] = scratch.reshape(-1, part)
+        comm.put_rows(tmp, idx, scratch.reshape(-1, part))
         yield LocalCopy(nbytes=int(scratch.nbytes))  # unpack copy
         pof2 <<= 1
     # phase 3: inverse rotation with reversal: the block from source s
     # travelled distance (rank - s) mod P
-    np.take(tmp, (size + rank - blocks) % size, axis=0,
-            out=recv.reshape(size, part))
+    comm.take_rows(
+        tmp, (size + rank - blocks) % size, recv.reshape(size, part)
+    )
     yield LocalCopy(nbytes=int(tmp.nbytes))
 
 
@@ -417,7 +413,7 @@ def _allreduce_recursive_doubling(
     """Recursive doubling with the classic non-power-of-two fold-in."""
     size, rank = comm.size, comm.rank
     tag = _ALLREDUCE_TAG
-    acc = send.copy()
+    acc = comm.working_copy(send)
     if acc.nbytes:
         yield LocalCopy(nbytes=int(acc.nbytes))
     pof2 = 1
@@ -431,10 +427,10 @@ def _allreduce_recursive_doubling(
             yield from comm.wait([h])
             newrank = -1  # sits out the doubling phase
         else:
-            scratch = np.empty_like(acc)
+            scratch = comm.staging_buffer(acc.size, acc.dtype)
             h = yield from comm.irecv(scratch, source=rank - 1, tag=tag)
             yield from comm.wait([h])
-            op(acc, scratch, out=acc)
+            comm.reduce_into(op, acc, scratch)
             newrank = rank // 2
     else:
         newrank = rank - rem
@@ -443,11 +439,11 @@ def _allreduce_recursive_doubling(
         while mask < pof2:
             newdst = newrank ^ mask
             dst = newdst * 2 + 1 if newdst < rem else newdst + rem
-            scratch = np.empty_like(acc)
+            scratch = comm.staging_buffer(acc.size, acc.dtype)
             h_r = yield from comm.irecv(scratch, source=dst, tag=tag)
             h_s = yield from comm.isend(acc, dest=dst, tag=tag)
             yield from comm.wait([h_r, h_s])
-            op(acc, scratch, out=acc)
+            comm.reduce_into(op, acc, scratch)
             mask <<= 1
     # post-step: hand the result back to the folded-out even ranks
     if rank < 2 * rem:
@@ -456,7 +452,7 @@ def _allreduce_recursive_doubling(
         else:
             h = yield from comm.irecv(acc, source=rank + 1, tag=tag)
         yield from comm.wait([h])
-    recv[:] = acc
+    comm.copy_to(recv, acc)
     if acc.nbytes:
         yield LocalCopy(nbytes=int(acc.nbytes))
 
@@ -473,7 +469,7 @@ def _allreduce_ring(
     """Bandwidth-optimal ring: reduce-scatter then allgather, 2(P-1) rounds."""
     size, rank = comm.size, comm.rank
     tag = _ALLREDUCE_TAG
-    acc = send.copy()
+    acc = comm.working_copy(send)
     if acc.nbytes:
         yield LocalCopy(nbytes=int(acc.nbytes))
     if size > 1:
@@ -484,14 +480,14 @@ def _allreduce_ring(
         for step in range(size - 1):
             ci_s = (size + rank - step) % size
             ci_r = (size + rank - step - 1) % size
-            scratch = np.empty(b[ci_r + 1] - b[ci_r], dtype=acc.dtype)
+            scratch = comm.staging_buffer(b[ci_r + 1] - b[ci_r], acc.dtype)
             h_r = yield from comm.irecv(scratch, source=left, tag=tag)
             h_s = yield from comm.isend(
                 acc[b[ci_s] : b[ci_s + 1]], dest=right, tag=tag
             )
             yield from comm.wait([h_r, h_s])
             chunk = acc[b[ci_r] : b[ci_r + 1]]
-            op(chunk, scratch, out=chunk)
+            comm.reduce_into(op, chunk, scratch)
         # allgather ring: circulate the completed chunks
         for step in range(size - 1):
             ci_s = (size + rank + 1 - step) % size
@@ -503,7 +499,7 @@ def _allreduce_ring(
                 acc[b[ci_s] : b[ci_s + 1]], dest=right, tag=tag
             )
             yield from comm.wait([h_r, h_s])
-    recv[:] = acc
+    comm.copy_to(recv, acc)
     if acc.nbytes:
         yield LocalCopy(nbytes=int(acc.nbytes))
 
@@ -519,7 +515,7 @@ def _allgather_ring(comm, send: np.ndarray, recv: np.ndarray) -> Gen:
     size, rank = comm.size, comm.rank
     tag = _ALLGATHER_TAG
     block = send.size
-    recv[rank * block : (rank + 1) * block] = send
+    comm.copy_to(recv[rank * block : (rank + 1) * block], send)
     if block:
         yield LocalCopy(nbytes=int(send.nbytes))
     right = (rank + 1) % size
@@ -551,7 +547,7 @@ def _allgather_linear(comm, send: np.ndarray, recv: np.ndarray) -> Gen:
         handles.append(h)
         h = yield from comm.isend(send, dest=(rank + j) % size, tag=tag)
         handles.append(h)
-    recv[rank * block : (rank + 1) * block] = send
+    comm.copy_to(recv[rank * block : (rank + 1) * block], send)
     if block:
         yield LocalCopy(nbytes=int(send.nbytes))
     yield from comm.wait(handles)

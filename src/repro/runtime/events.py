@@ -19,20 +19,9 @@ from typing import Any, List, Optional, Sequence
 import numpy as np
 
 
-class OpKind(enum.Enum):
-    COMPUTE = "compute"
-    ISEND = "isend"
-    IRECV = "irecv"
-    WAIT = "wait"
-    BARRIER = "barrier"
-    LOCAL_COPY = "local_copy"
-
-
 @dataclass
 class SimOp:
     """Base class for yielded operations."""
-
-    kind: OpKind = field(init=False)
 
 
 @dataclass
@@ -40,9 +29,6 @@ class Compute(SimOp):
     """Advance this rank's clock by ``seconds`` of pure computation."""
 
     seconds: float
-
-    def __post_init__(self) -> None:
-        self.kind = OpKind.COMPUTE
 
 
 @dataclass
@@ -59,9 +45,6 @@ class Isend(SimOp):
     tag: int
     data: np.ndarray
 
-    def __post_init__(self) -> None:
-        self.kind = OpKind.ISEND
-
 
 @dataclass
 class Irecv(SimOp):
@@ -77,9 +60,6 @@ class Irecv(SimOp):
     buffer: Any
     nbytes: int
 
-    def __post_init__(self) -> None:
-        self.kind = OpKind.IRECV
-
 
 @dataclass
 class Wait(SimOp):
@@ -87,16 +67,10 @@ class Wait(SimOp):
 
     handles: Sequence[int]
 
-    def __post_init__(self) -> None:
-        self.kind = OpKind.WAIT
-
 
 @dataclass
 class Barrier(SimOp):
     """Synchronize all ranks."""
-
-    def __post_init__(self) -> None:
-        self.kind = OpKind.BARRIER
 
 
 @dataclass
@@ -105,33 +79,52 @@ class LocalCopy(SimOp):
 
     nbytes: int
 
-    def __post_init__(self) -> None:
-        self.kind = OpKind.LOCAL_COPY
-
 
 class MsgState(enum.Enum):
     PENDING = "pending"  # isend posted, transfer not finished
     DELIVERED = "delivered"  # payload landed (recv may not be posted yet)
 
 
-@dataclass
 class Message:
-    """One point-to-point transfer in flight."""
+    """One point-to-point transfer in flight.
 
-    seq: int
-    src: int
-    dest: int
-    tag: int
-    nbytes: int
-    #: column-major snapshot; None until the copy-on-write boundary (the
-    #: sender's next step) forces it, or delivery consumes the live view
-    payload: Optional[np.ndarray]
-    #: live view of the send buffer (snapshot source + race detection)
-    source_view: Any
-    t_posted: float
-    t_wire_start: float = 0.0
-    t_complete: float = 0.0
-    state: MsgState = MsgState.PENDING
+    ``payload`` is the column-major snapshot: None until the
+    copy-on-write boundary (the sender's next step) forces it, or until
+    delivery consumes ``source_view``, the live view of the send buffer
+    (also the reference race detection compares against).
+    ``t_complete`` stays 0.0 until the transfer is scheduled on the NICs.
+    """
+
+    __slots__ = (
+        "seq",
+        "src",
+        "dest",
+        "tag",
+        "nbytes",
+        "payload",
+        "source_view",
+        "t_complete",
+        "state",
+    )
+
+    def __init__(
+        self,
+        seq: int,
+        src: int,
+        dest: int,
+        tag: int,
+        nbytes: int,
+        source_view: Any,
+    ) -> None:
+        self.seq = seq
+        self.src = src
+        self.dest = dest
+        self.tag = tag
+        self.nbytes = nbytes
+        self.payload: Optional[np.ndarray] = None
+        self.source_view = source_view
+        self.t_complete = 0.0
+        self.state = MsgState.PENDING
 
 
 @dataclass

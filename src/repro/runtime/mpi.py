@@ -24,6 +24,12 @@ The class also tracks outstanding send/recv handles so the transformed
 code's ``mpi_waitall_recvs`` / ``mpi_waitall_sends`` / ``mpi_waitall``
 (paper §3.6 steps 2 and 4) need no explicit request arrays in the
 mini-Fortran source.
+
+A payload-free communicator (``payloads=False``, the symmetry replay's)
+emits exactly the same operations but moves no data: the algorithms
+route every local data move through the helpers at the end of the
+class, which it turns into no-ops.  It pairs with a payload-free
+:class:`~repro.runtime.simulator.Engine`, which delivers nothing.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ class SimComm:
         rank: int,
         size: int,
         collectives: CollectiveSpec = None,
-        staging: Optional[Dict[Any, np.ndarray]] = None,
+        payloads: bool = True,
     ) -> None:
         if not 0 <= rank < size:
             raise SimulationError(f"invalid rank {rank} of {size}")
@@ -61,7 +67,7 @@ class SimComm:
         self._pending_sends: List[int] = []
         self._pending_recvs: List[int] = []
         self._collectives: Dict[str, str] = resolve_suite(collectives)
-        self._staging = staging
+        self._payloads = payloads
 
     # ------------------------------------------------------------- queries
 
@@ -202,30 +208,61 @@ class SimComm:
         algorithm = get_algorithm("bcast", self._collectives["bcast"])
         yield from algorithm(self, buf, root)
 
-    def staging_buffer(self, key: Any, size: int, dtype: Any) -> np.ndarray:
-        """Scratch array for a collective algorithm's internal staging.
-
-        In full interpretation (no pool) every call allocates privately,
-        since each rank's staged payload is live data.  The replay
-        engine passes one shared ``staging`` dict for the whole cluster:
-        replayed payload values are never read back (final data comes
-        from the recorder's shadows, and engine timing depends only on
-        operation sizes and order), so all ranks may clobber the same
-        buffers — keeping the cluster's memory footprint O(buffer)
-        instead of O(nranks * buffer).  Contents are undefined; callers
-        must fill the buffer before charging/sending from it.
-        """
-        if self._staging is None:
-            return np.empty(size, dtype)
-        full_key = (key, size, np.dtype(dtype).str)
-        buf = self._staging.get(full_key)
-        if buf is None:
-            buf = np.empty(size, dtype)
-            self._staging[full_key] = buf
-        return buf
-
     # ----------------------------------------------------------------- misc
 
     def compute(self, seconds: float) -> Gen:
         """Charge ``seconds`` of computation to this rank's clock."""
         yield Compute(seconds=seconds)
+
+    # --------------------------------------------------- local data moves
+    #
+    # Every local payload move of a collective algorithm goes through
+    # one of these, so a single algorithm body serves both modes: a
+    # payload-free comm skips the data while the algorithm still charges
+    # each ``LocalCopy`` and sends and receives the same byte counts.
+
+    def staging_buffer(self, size: int, dtype: Any) -> np.ndarray:
+        """Scratch array of ``size`` elements for a collective's staging.
+
+        Contents are undefined: callers fill it through the helpers
+        below before charging or sending from it.  A payload-free comm
+        never fills it, so it hands out a read-only view of one element
+        repeated ``size`` times (stride 0).  Its size and dtype are
+        right, which is all the engine reads of it, and it takes no
+        memory however many ranks hold one.
+        """
+        if self._payloads:
+            return np.empty(size, dtype)
+        dtype = np.dtype(dtype)
+        return np.ndarray(size, dtype, bytes(dtype.itemsize), 0, (0,))
+
+    def copy_to(self, dst: np.ndarray, src: np.ndarray) -> None:
+        """``dst[...] = src``."""
+        if self._payloads:
+            dst[...] = src
+
+    def working_copy(self, buf: np.ndarray) -> np.ndarray:
+        """A private copy of ``buf`` to accumulate in; a payload-free
+        comm writes nothing, so ``buf`` itself serves."""
+        return buf.copy() if self._payloads else buf
+
+    def reduce_into(
+        self, op: np.ufunc, acc: np.ndarray, other: np.ndarray
+    ) -> None:
+        """``acc = op(acc, other)`` in place."""
+        if self._payloads:
+            op(acc, other, out=acc)
+
+    def take_rows(
+        self, src: np.ndarray, rows: np.ndarray, out: np.ndarray
+    ) -> None:
+        """``out[i] = src[rows[i]]`` over the leading axis."""
+        if self._payloads:
+            np.take(src, rows, axis=0, out=out)
+
+    def put_rows(
+        self, dst: np.ndarray, rows: np.ndarray, src: np.ndarray
+    ) -> None:
+        """``dst[rows[i]] = src[i]`` over the leading axis."""
+        if self._payloads:
+            dst[rows] = src

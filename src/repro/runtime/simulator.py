@@ -36,10 +36,18 @@ The engine is single-threaded and fully deterministic: ties are broken by
 monotonically increasing sequence numbers, never by Python hashing or
 wall-clock effects.
 
-Fast path: operations dispatch through a per-type handler table, and a
-run of consecutive ``Compute`` yields from one rank is drained in a
-single step (they only advance that rank's private clock, so skipping
-the global scheduler between them cannot change any observable timing).
+A payload-free engine (``payloads=False``) times the same operations
+without moving any data: it neither snapshots send buffers nor delivers
+into receive buffers, and only checks that each receive was posted with
+the message's size.  The symmetry replay (DESIGN.md §10) runs this way.
+
+Fast path: operations dispatch through a per-type handler table straight
+to the ``_do_*`` methods, and a run of consecutive ``Compute`` yields
+from one rank is drained in a single step (they only advance that rank's
+private clock, so skipping the global scheduler between them cannot
+change any observable timing).  The event heap carries the
+:class:`~repro.runtime.events.Message` whose transfer it schedules, and
+requests, ranks and messages are ``__slots__`` classes.
 
 Scheduling is heap-based: runnable ranks live in a priority heap keyed
 ``(time, rank_index)`` alongside the transfer-event heap, so picking the
@@ -55,7 +63,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -96,52 +103,66 @@ class _Status(Enum):
     DONE = "done"
 
 
-@dataclass
-class _SendReq:
-    msg: Message
+class _Request:
+    """One isend/irecv handle.
+
+    It completes at ``max(msg.t_complete, t_posted)`` once its message
+    is matched and scheduled.  A send holds its message from the start
+    and is posted at 0, so it completes with its transfer; a receive
+    completes no earlier than it was posted.  ``buffer`` and ``nbytes``
+    are the receive target and its posted size.
+    """
+
+    __slots__ = ("msg", "t_posted", "recv", "buffer", "nbytes")
+
+    def __init__(
+        self,
+        msg: Optional[Message],
+        t_posted: float,
+        recv: bool = False,
+        buffer: Any = None,
+        nbytes: int = 0,
+    ) -> None:
+        self.msg = msg
+        self.t_posted = t_posted
+        self.recv = recv
+        self.buffer = buffer
+        self.nbytes = nbytes
 
     @property
     def complete_time(self) -> Optional[float]:
-        if self.msg.t_complete > 0.0:
-            return self.msg.t_complete
-        return None
-
-
-@dataclass
-class _RecvReq:
-    source: int
-    tag: int
-    buffer: Any
-    nbytes: int
-    t_posted: float
-    matched: Optional[Message] = None
-    delivered: bool = False
-
-    @property
-    def complete_time(self) -> Optional[float]:
-        if self.matched is None or self.matched.t_complete <= 0.0:
+        msg = self.msg
+        if msg is None or msg.t_complete <= 0.0:
             return None
-        return max(self.matched.t_complete, self.t_posted)
-
-    @property
-    def unexpected(self) -> bool:
-        """True when the wire transfer finished before the recv was posted."""
-        assert self.matched is not None
-        return self.matched.t_complete <= self.t_posted
+        return max(msg.t_complete, self.t_posted)
 
 
-@dataclass
 class _Rank:
-    index: int
-    gen: RankProgram
-    clock: float = 0.0
-    status: _Status = _Status.READY
-    send_value: Any = None  # value to send into the generator on resume
-    requests: Dict[int, Any] = field(default_factory=dict)
-    next_handle: int = 0
-    waiting_on: Tuple[int, ...] = ()
-    block_start: float = 0.0
-    stats: RankStats = field(default_factory=RankStats)
+    __slots__ = (
+        "index",
+        "gen",
+        "clock",
+        "status",
+        "send_value",
+        "requests",
+        "next_handle",
+        "waiting_on",
+        "block_start",
+        "stats",
+    )
+
+    def __init__(self, index: int, gen: RankProgram) -> None:
+        self.index = index
+        self.gen = gen
+        self.clock = 0.0
+        self.status = _Status.READY
+        # value to send into the generator on resume
+        self.send_value: Any = None
+        self.requests: Dict[int, _Request] = {}
+        self.next_handle = 0
+        self.waiting_on: Tuple[int, ...] = ()
+        self.block_start = 0.0
+        self.stats = RankStats()
 
 
 class Engine:
@@ -153,31 +174,30 @@ class Engine:
         network: "NetworkModel | str",
         *,
         detect_races: bool = True,
-        snapshot_payloads: bool = True,
+        payloads: bool = True,
     ) -> None:
         self.network = resolve_model(network)
         self.detect_races = detect_races
-        # Copy-on-write payload snapshots can be switched off entirely for
-        # callers that only consume timing (the symmetry replay engine):
-        # payloads then deliver straight from the live view.  Race
-        # detection needs the snapshots for its comparisons, so the two
-        # knobs cannot be split that way.
-        if detect_races and not snapshot_payloads:
-            raise SimulationError(
-                "detect_races=True requires snapshot_payloads=True"
-            )
-        self.snapshot_payloads = snapshot_payloads
-        self.ranks = [_Rank(index=i, gen=g) for i, g in enumerate(programs)]
+        # A payload-free engine serves callers that only consume timing
+        # (the symmetry replay).  Race detection compares payload
+        # snapshots, so it cannot run without them.
+        if detect_races and not payloads:
+            raise SimulationError("detect_races=True requires payloads=True")
+        self.payloads = payloads
+        self.ranks = [_Rank(i, g) for i, g in enumerate(programs)]
         self.nranks = len(self.ranks)
+        #: ranks that have not finished (the barrier quorum)
+        self._live = self.nranks
         self._seq = 0
-        self._events: List[Tuple[float, int, Callable[[float], None]]] = []
+        # transfers to schedule, keyed (time, seq)
+        self._events: List[Tuple[float, int, Message]] = []
         # runnable/wakeable ranks, keyed (time, rank_index, token); an
         # entry is live only while its token matches _rank_tokens[index]
         self._rank_heap: List[Tuple[float, int, int]] = []
         self._rank_tokens = [0] * self.nranks
         # unmatched state, keyed (dest, src, tag) in FIFO order
         self._unmatched_msgs: Dict[Tuple[int, int, int], List[Message]] = {}
-        self._unmatched_recvs: Dict[Tuple[int, int, int], List[_RecvReq]] = {}
+        self._unmatched_recvs: Dict[Tuple[int, int, int], List[_Request]] = {}
         self._nic_send_free = [0.0] * self.nranks
         self._nic_recv_free = [0.0] * self.nranks
         self._barrier_waiting: List[int] = []
@@ -191,46 +211,67 @@ class Engine:
         self._lazy_msgs: List[List[Message]] = [[] for _ in range(self.nranks)]
         self._lazy_count = 0
         # exact-type handler table; isinstance fallback covers subclasses
-        self._handlers: Dict[type, Callable[[_Rank, SimOp], None]] = {
-            Compute: self._h_compute,
-            Isend: self._h_isend,
-            Irecv: self._h_irecv,
-            Wait: self._h_wait,
-            Barrier: self._h_barrier,
-            LocalCopy: self._h_local_copy,
+        self._handlers: Dict[type, Callable[[_Rank, Any], None]] = {
+            Compute: self._do_compute,
+            Isend: self._do_isend,
+            Irecv: self._do_irecv,
+            Wait: self._do_wait,
+            Barrier: self._do_barrier,
+            LocalCopy: self._do_local_copy,
         }
 
     # ------------------------------------------------------------------ api
 
     def run(self) -> SimResult:
-        """Drive all ranks to completion; returns makespan and stats."""
-        for rank in self.ranks:
+        """Drive all ranks to completion; returns makespan and stats.
+
+        Each turn takes the next thing to happen in virtual time.  A
+        transfer event beats rank activity at equal times (a transfer
+        scheduled at t must resolve before a rank blocked at t
+        re-checks), and the lowest rank index wins ties between ranks:
+        both orderings come from the linear scan the heaps replaced, and
+        the determinism suite pins them.
+        """
+        ranks = self.ranks
+        for rank in ranks:
             self._step(rank)  # prime each generator to its first yield
             self._touch(rank)
 
+        events = self._events
+        heap = self._rank_heap
+        tokens = self._rank_tokens
+        heappop = heapq.heappop
+        blocked = _Status.BLOCKED
         while True:
-            choice = self._next_actor()
-            if choice is None:
-                if all(r.status is _Status.DONE for r in self.ranks):
+            # discard stale rank entries (see _touch)
+            while heap:
+                entry = heap[0]
+                if entry[2] == tokens[entry[1]]:
                     break
-                self._raise_deadlock()
-            time, kind, payload = choice
+                heappop(heap)
+            if events and (not heap or events[0][0] <= heap[0][0]):
+                time, _, msg = heappop(events)
+                self.ops_processed += 1
+                self._schedule_transfer(msg, time)
+                continue
+            if not heap:
+                break
+            time, index, _ = heappop(heap)
+            rank = ranks[index]
             self.ops_processed += 1
-            if kind == "event":
-                _, _, action = heapq.heappop(self._events)
-                action(time)
-            elif kind == "wake":
-                self._resume_from_wait(payload, time)
-                self._touch(payload)
-            else:  # "step"
-                self._step(payload)
-                self._touch(payload)
+            if rank.status is blocked:
+                self._resume_from_wait(rank, time)
+            else:
+                self._step(rank)
+            self._touch(rank)
+        if self._live:
+            self._raise_deadlock()
 
-        rank_times = [r.clock for r in self.ranks]
+        rank_times = [r.clock for r in ranks]
         return SimResult(
             time=max(rank_times) if rank_times else 0.0,
             rank_times=rank_times,
-            stats=[r.stats for r in self.ranks],
+            stats=[r.stats for r in ranks],
             warnings=list(self.warnings),
             ops_processed=self.ops_processed,
         )
@@ -242,56 +283,39 @@ class Engine:
 
         Rather than deleting the rank's previous heap entry (heaps cannot
         do that cheaply), the per-rank token is bumped so any earlier
-        entry is recognized as stale and discarded at pop time.  A rank
-        that is not actionable — finished, in a barrier, or blocked with
-        an unknown wake time — is simply not enqueued; the state change
-        that makes it actionable (a transfer completion, a barrier
-        release) touches it again.
+        entry is recognized as stale and discarded at pop time; a live
+        entry therefore always belongs to a ready or blocked rank.  A
+        rank that is not actionable — finished, in a barrier, or blocked
+        with an unknown wake time — is simply not enqueued; the state
+        change that makes it actionable (a transfer completion, a
+        barrier release) touches it again.
         """
-        if rank.status is _Status.READY:
+        status = rank.status
+        if status is _Status.READY:
             time = rank.clock
-        elif rank.status is _Status.BLOCKED:
-            wake = self._wake_time(rank)
-            if wake is None:
-                return
-            time = wake
+        elif status is _Status.BLOCKED:
+            # the latest completion among the awaited requests (their
+            # complete_time, inlined), unknown while one is unscheduled
+            time = rank.block_start
+            requests = rank.requests
+            for h in rank.waiting_on:
+                req = requests[h]
+                msg = req.msg
+                if msg is None:
+                    return
+                done = msg.t_complete
+                if done <= 0.0:
+                    return
+                if req.t_posted > done:
+                    done = req.t_posted
+                if done > time:
+                    time = done
         else:
             return
-        token = self._rank_tokens[rank.index] + 1
-        self._rank_tokens[rank.index] = token
-        heapq.heappush(self._rank_heap, (time, rank.index, token))
-
-    def _next_actor(self):
-        """The next thing to happen, globally ordered by virtual time.
-
-        Events beat rank activity at equal times (a transfer scheduled at
-        time t must resolve before a rank blocked at t re-checks), and
-        the lowest rank index wins ties between ranks — both orderings
-        inherited from the linear scan this heap replaced, and pinned by
-        the determinism suite.
-        """
-        heap = self._rank_heap
-        tokens = self._rank_tokens
-        while heap:
-            t, idx, token = heap[0]
-            if token != tokens[idx] or self.ranks[idx].status not in (
-                _Status.READY,
-                _Status.BLOCKED,
-            ):
-                heapq.heappop(heap)
-                continue
-            break
-        if self._events:
-            et = self._events[0][0]
-            if not heap or et <= heap[0][0]:
-                return et, "event", None
-        if not heap:
-            return None
-        t, idx, _ = heapq.heappop(heap)
-        rank = self.ranks[idx]
-        if rank.status is _Status.READY:
-            return t, "step", rank
-        return t, "wake", rank
+        index = rank.index
+        token = self._rank_tokens[index] + 1
+        self._rank_tokens[index] = token
+        heapq.heappush(self._rank_heap, (time, index, token))
 
     def _raise_deadlock(self) -> None:
         lines = []
@@ -300,7 +324,7 @@ class Engine:
                 pending = [
                     h
                     for h in r.waiting_on
-                    if _completion(r.requests[h]) is None
+                    if r.requests[h].complete_time is None
                 ]
                 lines.append(
                     f"rank {r.index} blocked at t={r.block_start:.6g} on "
@@ -337,40 +361,24 @@ class Engine:
         except StopIteration:
             self._finish_rank(rank)
             return
-        self._dispatch(rank, op)
-
-    def _dispatch(self, rank: _Rank, op: SimOp) -> None:
-        handler = self._handlers.get(type(op))
-        if handler is None:
-            for typ, h in self._handlers.items():
-                if isinstance(op, typ):
-                    handler = h
-                    break
-            else:
-                raise SimulationError(f"unknown operation {op!r}")
+        handler = self._handlers.get(type(op)) or self._handler_for(op)
         handler(rank, op)
+
+    def _handler_for(self, op: SimOp) -> Callable[[_Rank, Any], None]:
+        for typ, handler in self._handlers.items():
+            if isinstance(op, typ):
+                return handler
+        raise SimulationError(f"unknown operation {op!r}")
 
     # ------------------------------------------------------------ handlers
 
-    def _h_compute(self, rank: _Rank, op: Compute) -> None:
+    def _do_compute(self, rank: _Rank, op: Compute) -> None:
         if op.seconds < 0:
             raise SimulationError("negative compute time")
         rank.clock += op.seconds
         rank.stats.compute_time += op.seconds
 
-    def _h_isend(self, rank: _Rank, op: Isend) -> None:
-        rank.send_value = self._do_isend(rank, op)
-
-    def _h_irecv(self, rank: _Rank, op: Irecv) -> None:
-        rank.send_value = self._do_irecv(rank, op)
-
-    def _h_wait(self, rank: _Rank, op: Wait) -> None:
-        self._do_wait(rank, op)
-
-    def _h_barrier(self, rank: _Rank, op: Barrier) -> None:
-        self._do_barrier(rank)
-
-    def _h_local_copy(self, rank: _Rank, op: LocalCopy) -> None:
+    def _do_local_copy(self, rank: _Rank, op: LocalCopy) -> None:
         cost = self.network.local_copy_cost(op.nbytes)
         rank.clock += cost
         rank.stats.mpi_overhead_time += cost
@@ -413,56 +421,48 @@ class Engine:
                 f"request(s) never waited on"
             )
         rank.status = _Status.DONE
+        self._live -= 1
         # A rank finishing may complete a barrier among the remaining ranks.
-        if self._barrier_waiting and len(
-            self._barrier_waiting
-        ) == self.nranks_active():
+        if self._barrier_waiting and len(self._barrier_waiting) == self._live:
             self._release_barrier()
 
     # ---------------------------------------------------------------- isend
 
-    def _do_isend(self, rank: _Rank, op: Isend) -> int:
+    def _do_isend(self, rank: _Rank, op: Isend) -> None:
         # The payload snapshot is *deferred* (copy-on-write): the copy — a
         # 1-D column-major flatten, because the mini-Fortran world is
         # column-major throughout and a C-order flatten of a section would
         # silently transpose the data — happens at the sender's next step,
         # the first point its buffers can change.  A message consumed
         # before then is delivered straight from the live view.
-        view = np.asarray(op.data)
-        nbytes = int(view.nbytes)
+        nbytes = int(np.asarray(op.data).nbytes)
         cost = self.network.send_cpu_cost(nbytes)
         rank.clock += cost
-        rank.stats.mpi_overhead_time += cost
-        rank.stats.bytes_sent += nbytes
-        rank.stats.messages_sent += 1
+        stats = rank.stats
+        stats.mpi_overhead_time += cost
+        stats.bytes_sent += nbytes
+        stats.messages_sent += 1
         if not (0 <= op.dest < self.nranks):
             raise SimulationError(
                 f"rank {rank.index} sends to invalid rank {op.dest}"
             )
 
         self._seq += 1
-        msg = Message(
-            seq=self._seq,
-            src=rank.index,
-            dest=op.dest,
-            tag=op.tag,
-            nbytes=nbytes,
-            payload=None,  # snapshot deferred, see _materialize_rank
-            source_view=op.data,
-            t_posted=rank.clock,
-        )
-        if self.snapshot_payloads:
+        msg = Message(self._seq, rank.index, op.dest, op.tag, nbytes, op.data)
+        if self.payloads:
             self._lazy_msgs[rank.index].append(msg)
             self._lazy_count += 1
         # transfer scheduling happens at the rank's post-overhead time, in
-        # global time order (the event heap), so NIC allocation is fair
-        self._push_event(rank.clock, lambda t, m=msg: self._schedule_transfer(m, t))
+        # global time order (the event heap), so NIC allocation is fair;
+        # transfers posted at equal times run in _seq (stepping) order
+        self._seq += 1
+        heapq.heappush(self._events, (rank.clock, self._seq, msg))
         self._match_send(msg)
 
         handle = rank.next_handle
-        rank.next_handle += 1
-        rank.requests[handle] = _SendReq(msg)
-        return handle
+        rank.next_handle = handle + 1
+        rank.requests[handle] = _Request(msg, 0.0)
+        rank.send_value = handle
 
     def _schedule_transfer(self, msg: Message, now: float) -> None:
         network = self.network
@@ -476,7 +476,6 @@ class Engine:
             wire *= network.congestion_factor
         self._nic_send_free[msg.src] = start + wire
         self._nic_recv_free[msg.dest] = start + wire
-        msg.t_wire_start = start
         msg.t_complete = start + wire + network.msg_latency(msg.nbytes)
         # the now-known completion time may be the last unknown in a
         # blocked rank's wait set on either endpoint: requeue them
@@ -492,7 +491,7 @@ class Engine:
             req = queue.pop(0)
             if not queue:
                 del self._unmatched_recvs[key]
-            req.matched = msg
+            req.msg = msg
             receiver = self.ranks[msg.dest]
             if receiver.status is _Status.BLOCKED:
                 self._touch(receiver)
@@ -501,31 +500,24 @@ class Engine:
 
     # ---------------------------------------------------------------- irecv
 
-    def _do_irecv(self, rank: _Rank, op: Irecv) -> int:
+    def _do_irecv(self, rank: _Rank, op: Irecv) -> None:
         cost = self.network.recv_cpu_cost()
         rank.clock += cost
         rank.stats.mpi_overhead_time += cost
-        req = _RecvReq(
-            source=op.source,
-            tag=op.tag,
-            buffer=op.buffer,
-            nbytes=op.nbytes,
-            t_posted=rank.clock,
-        )
+        req = _Request(None, rank.clock, True, op.buffer, op.nbytes)
         key = (rank.index, op.source, op.tag)
         queue = self._unmatched_msgs.get(key)
         if queue:
-            msg = queue.pop(0)
+            req.msg = queue.pop(0)
             if not queue:
                 del self._unmatched_msgs[key]
-            req.matched = msg
         else:
             self._unmatched_recvs.setdefault(key, []).append(req)
 
         handle = rank.next_handle
-        rank.next_handle += 1
+        rank.next_handle = handle + 1
         rank.requests[handle] = req
-        return handle
+        rank.send_value = handle
 
     # ----------------------------------------------------------------- wait
 
@@ -540,35 +532,31 @@ class Engine:
         rank.status = _Status.BLOCKED
         # an immediately-satisfiable wait resolves via the normal wake path
 
-    def _wake_time(self, rank: _Rank) -> Optional[float]:
-        latest = rank.block_start
-        for h in rank.waiting_on:
-            t = _completion(rank.requests[h])
-            if t is None:
-                return None
-            latest = max(latest, t)
-        return latest
-
     def _resume_from_wait(self, rank: _Rank, wake: float) -> None:
-        rank.stats.wait_time += max(0.0, wake - rank.block_start)
+        stats = rank.stats
+        stats.wait_time += max(0.0, wake - rank.block_start)
         rank.clock = max(rank.clock, wake)
         charges = 0.0
+        requests = rank.requests
         for h in rank.waiting_on:
-            req = rank.requests.pop(h)
-            if isinstance(req, _RecvReq):
-                msg = req.matched
-                assert msg is not None
-                self._deliver(req, msg)
-                unexpected = req.unexpected
+            req = requests.pop(h)
+            msg = req.msg
+            if req.recv:
+                if self.payloads:
+                    self._deliver(req.buffer, msg)
+                elif req.nbytes != msg.nbytes:
+                    raise _size_mismatch(req.nbytes, msg)
+                # the wire transfer finished before the recv was posted
+                unexpected = msg.t_complete <= req.t_posted
                 if unexpected:
-                    rank.stats.unexpected_messages += 1
+                    stats.unexpected_messages += 1
                 charges += self._recv_completion_cost(msg.nbytes, unexpected)
-                rank.stats.bytes_received += msg.nbytes
-                rank.stats.messages_received += 1
-            else:
-                self._check_send_race(req.msg)
+                stats.bytes_received += msg.nbytes
+                stats.messages_received += 1
+            elif self.detect_races:
+                self._check_send_race(msg)
         rank.clock += charges
-        rank.stats.mpi_overhead_time += charges
+        stats.mpi_overhead_time += charges
         rank.waiting_on = ()
         rank.status = _Status.READY
 
@@ -580,11 +568,7 @@ class Engine:
             cost += self.network.unexpected_copy_cost(nbytes)
         return cost
 
-    def _deliver(self, req: _RecvReq, msg: Message) -> None:
-        if req.delivered:
-            return
-        req.delivered = True
-        target = req.buffer
+    def _deliver(self, target: Any, msg: Message) -> None:
         if self._lazy_count:
             # the write below may overlap another in-flight send's live
             # buffer: snapshot those first (copy-on-write aliasing guard)
@@ -607,10 +591,7 @@ class Engine:
             target(payload)
             return
         if target.nbytes != msg.nbytes:
-            raise SimulationError(
-                f"receive buffer size mismatch: posted {target.nbytes} B, "
-                f"message from rank {msg.src} tag {msg.tag} is {msg.nbytes} B"
-            )
+            raise _size_mismatch(target.nbytes, msg)
         flat = payload.view(target.dtype)
         if target.ndim <= 1:
             np.copyto(target, flat)
@@ -620,7 +601,7 @@ class Engine:
             np.copyto(target, flat.reshape(target.shape, order="F"))
 
     def _check_send_race(self, msg: Message) -> None:
-        if not self.detect_races or msg.payload is None:
+        if msg.payload is None:
             # no snapshot was ever taken: the sender never executed while
             # the transfer was in flight, so the buffer cannot have raced
             return
@@ -640,11 +621,11 @@ class Engine:
 
     # -------------------------------------------------------------- barrier
 
-    def _do_barrier(self, rank: _Rank) -> None:
+    def _do_barrier(self, rank: _Rank, op: Barrier) -> None:
         rank.status = _Status.IN_BARRIER
         rank.block_start = rank.clock
         self._barrier_waiting.append(rank.index)
-        if len(self._barrier_waiting) == self.nranks_active():
+        if len(self._barrier_waiting) == self._live:
             self._release_barrier()
 
     def _release_barrier(self) -> None:
@@ -661,18 +642,12 @@ class Engine:
             self._touch(r)
         self._barrier_waiting.clear()
 
-    def nranks_active(self) -> int:
-        return sum(1 for r in self.ranks if r.status is not _Status.DONE)
 
-    # ---------------------------------------------------------------- misc
-
-    def _push_event(self, time: float, action: Callable[[float], None]) -> None:
-        self._seq += 1
-        heapq.heappush(self._events, (time, self._seq, action))
-
-
-def _completion(req: Any) -> Optional[float]:
-    return req.complete_time
+def _size_mismatch(posted: int, msg: Message) -> SimulationError:
+    return SimulationError(
+        f"receive buffer size mismatch: posted {posted} B, "
+        f"message from rank {msg.src} tag {msg.tag} is {msg.nbytes} B"
+    )
 
 
 def simulate(
@@ -680,7 +655,7 @@ def simulate(
     network: "NetworkModel | str",
     *,
     detect_races: bool = True,
-    snapshot_payloads: bool = True,
+    payloads: bool = True,
 ) -> SimResult:
     """Convenience wrapper: build an :class:`Engine` and run it.
 
@@ -690,5 +665,5 @@ def simulate(
         programs,
         network,
         detect_races=detect_races,
-        snapshot_payloads=snapshot_payloads,
+        payloads=payloads,
     ).run()

@@ -469,3 +469,80 @@ def test_recording_nodeloop_never_walks_the_tree(monkeypatch):
         "alltoall",
         "alltoall",
     ]
+
+
+#: the SimComm methods every local data move of a collective goes through
+_DATA_HELPERS = (
+    "copy_to",
+    "working_copy",
+    "reduce_into",
+    "take_rows",
+    "put_rows",
+)
+
+
+@pytest.mark.parametrize(
+    "app,kwargs,collective",
+    [
+        ("halo", {"n": 32, "steps": 2, "stages": 2}, None),
+        ("nodeloop", {"n": 32, "steps": 1, "stages": 0}, "bruck"),
+    ],
+)
+def test_replay_moves_no_payloads(monkeypatch, app, kwargs, collective):
+    """Replay ranks time their collectives without moving data: no
+    collective data helper copies on a payload-carrying communicator,
+    the engine delivers nothing, and the shared scratch buffers keep
+    the sentinel they were filled with.  The same job under full
+    interpretation shows the counters are live."""
+    from repro.runtime.mpi import SimComm
+    from repro.runtime.simulator import Engine
+
+    moves = {"helpers": 0, "deliver": 0}
+
+    def spy(name):
+        original = getattr(SimComm, name)
+
+        def counting(self, *args):
+            if self._payloads:  # a payload-free comm skips the move
+                moves["helpers"] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(SimComm, name, counting)
+
+    for name in _DATA_HELPERS:
+        spy(name)
+    deliver = Engine._deliver
+
+    def counting_deliver(self, target, msg):
+        moves["deliver"] += 1
+        return deliver(self, target, msg)
+
+    monkeypatch.setattr(Engine, "_deliver", counting_deliver)
+    scratch_for = replay._scratch_for
+    filled = []
+
+    def sentinel_scratch(events):
+        scratch = scratch_for(events)
+        for bufs in scratch:
+            for buf in bufs:
+                buf.fill(-4242)
+                filled.append(buf)
+        return scratch
+
+    monkeypatch.setattr(replay, "_scratch_for", sentinel_scratch)
+    spec = build_app(app, nranks=NRANKS, **kwargs)
+
+    replay.replay_cluster(spec.source, NRANKS, "gmnet", collective=collective)
+    assert moves == {"helpers": 0, "deliver": 0}
+    assert filled and all((buf == -4242).all() for buf in filled)
+
+    execute_job(
+        ClusterJob(
+            program=spec.source,
+            nranks=NRANKS,
+            network="gmnet",
+            collective=collective,
+            engine_mode="full",
+        )
+    )
+    assert moves["helpers"] > 0 and moves["deliver"] > 0

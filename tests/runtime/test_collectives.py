@@ -6,7 +6,8 @@ here at 2, 4, and 7 ranks — the non-power-of-two exercises the Bruck and
 binomial remainder handling.  Virtual times are pinned per algorithm x
 scenario; the pairwise alltoall goldens equal the pre-registry
 implementation's timings bit-for-bit (the default schedule must not
-move).
+move).  A payload-free communicator must emit exactly the op stream of
+a payload-carrying one while leaving every buffer untouched.
 """
 
 import numpy as np
@@ -22,7 +23,7 @@ from repro.runtime.collectives import (
     register_algorithm,
     resolve_suite,
 )
-from repro.runtime.events import LocalCopy, Wait
+from repro.runtime.events import Irecv, Isend, LocalCopy, Wait
 from repro.runtime.mpi import SimComm
 from repro.runtime.network import MPICH_GM, get_model
 from repro.runtime.simulator import simulate
@@ -230,6 +231,114 @@ def test_bcast_data_equivalence(algorithm, nranks):
         expected = np.arange(6, dtype=np.int64) + 7
         for r in range(nranks):
             assert np.array_equal(bufs[r], expected), (algorithm, root, r)
+
+
+# ------------------------------------------- payload-free op streams
+
+#: every registered algorithm, as (collective, algorithm)
+ALL_ALGORITHMS = [
+    (c, name) for c in COLLECTIVES for name in list_algorithms(c)
+]
+
+
+def _op_key(op):
+    """What the engine times of one op: peers, tags, byte counts and
+    handle lists (payload contents excluded)."""
+    if isinstance(op, Isend):
+        return ("isend", op.dest, op.tag, int(np.asarray(op.data).nbytes))
+    if isinstance(op, Irecv):
+        return ("irecv", op.source, op.tag, op.nbytes)
+    if isinstance(op, Wait):
+        return ("wait", tuple(op.handles))
+    if isinstance(op, LocalCopy):
+        return ("local_copy", op.nbytes)
+    return (type(op).__name__,)
+
+
+def _recorded(gen, log):
+    """Pass ``gen``'s ops through to the engine, logging each."""
+    reply = None
+    while True:
+        try:
+            op = gen.send(reply)
+        except StopIteration:
+            return
+        log.append(_op_key(op))
+        reply = yield op
+
+
+def _run_collective(collective, algorithm, nranks, count, payloads):
+    """One collective on every rank; returns the result, each rank's op
+    log and the (send, recv) buffers, which start as rank-distinct
+    values and a sentinel."""
+    bufs = []
+    for r in range(nranks):
+        if collective == "alltoall":
+            n_send = n_recv = nranks * count
+        elif collective == "allgather":
+            n_send, n_recv = count, nranks * count
+        else:
+            n_send = n_recv = count
+        bufs.append(
+            (
+                np.arange(n_send, dtype=np.int64) + 1000 * (r + 1),
+                np.full(n_recv, -7, dtype=np.int64),
+            )
+        )
+    logs = [[] for _ in range(nranks)]
+
+    def program(rank):
+        comm = SimComm(
+            rank,
+            nranks,
+            collectives={collective: algorithm},
+            payloads=payloads,
+        )
+        send, recv = bufs[rank]
+        if collective == "alltoall":
+            yield from comm.alltoall(send, recv)
+        elif collective == "allreduce":
+            yield from comm.allreduce(send, recv, op="max")
+        elif collective == "allgather":
+            yield from comm.allgather(send, recv)
+        else:
+            yield from comm.bcast(send, root=nranks - 1)
+
+    res = simulate(
+        [_recorded(program(r), logs[r]) for r in range(nranks)],
+        MPICH_GM,
+        detect_races=payloads,
+        payloads=payloads,
+    )
+    return res, logs, bufs
+
+
+@pytest.mark.parametrize("count", [0, 3])
+@pytest.mark.parametrize("nranks", [1, 2, 3, 4, 7, 8])
+@pytest.mark.parametrize("collective,algorithm", ALL_ALGORITHMS)
+def test_payload_free_comm_emits_identical_ops(
+    collective, algorithm, nranks, count
+):
+    """Same ops, byte counts, LocalCopy charges and wait handle lists
+    with and without payloads; without them no buffer is written."""
+    full, full_logs, _ = _run_collective(
+        collective, algorithm, nranks, count, payloads=True
+    )
+    free, free_logs, bufs = _run_collective(
+        collective, algorithm, nranks, count, payloads=False
+    )
+    assert free_logs == full_logs
+    assert (free.time, free.rank_times, free.stats) == (
+        full.time,
+        full.rank_times,
+        full.stats,
+    )
+    assert free.ops_processed == full.ops_processed
+    for r, (send, recv) in enumerate(bufs):
+        assert np.array_equal(
+            send, np.arange(send.size, dtype=np.int64) + 1000 * (r + 1)
+        )
+        assert (recv == -7).all()
 
 
 # --------------------------------------------------- golden virtual times

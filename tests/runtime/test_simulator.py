@@ -143,6 +143,57 @@ class TestPointToPoint:
         with pytest.raises(SimulationError, match="size mismatch"):
             simulate([sender(), receiver()], NET)
 
+    def test_payload_free_engine_checks_receive_size(self):
+        """Without payloads nothing is delivered, but a receive posted
+        with the wrong size still fails, on its posted ``nbytes``."""
+
+        def sender():
+            h = yield Isend(dest=1, tag=0, data=_buf(4))
+            yield Wait(handles=[h])
+
+        def receiver():
+            h = yield Irecv(source=0, tag=0, buffer=_buf(4), nbytes=16)
+            yield Wait(handles=[h])
+
+        with pytest.raises(
+            SimulationError, match="size mismatch: posted 16 B"
+        ):
+            simulate(
+                [sender(), receiver()], NET, detect_races=False, payloads=False
+            )
+
+    def test_payload_free_engine_times_without_delivering(self):
+        def programs(out):
+            def sender():
+                data = np.arange(4, dtype=np.int64)
+                h = yield Isend(dest=1, tag=0, data=data)
+                yield Compute(seconds=3.0)
+                yield Wait(handles=[h])
+
+            def receiver():
+                h = yield Irecv(source=0, tag=0, buffer=out, nbytes=32)
+                yield Wait(handles=[h])
+
+            return [sender(), receiver()]
+
+        full_out, free_out = _buf(4, -1), _buf(4, -1)
+        full = simulate(programs(full_out), NET)
+        free = simulate(
+            programs(free_out), NET, detect_races=False, payloads=False
+        )
+        assert list(full_out) == [0, 1, 2, 3]
+        assert list(free_out) == [-1, -1, -1, -1]
+        assert (free.time, free.rank_times, free.stats) == (
+            full.time,
+            full.rank_times,
+            full.stats,
+        )
+        assert free.ops_processed == full.ops_processed
+
+    def test_race_detection_requires_payloads(self):
+        with pytest.raises(SimulationError, match="requires payloads"):
+            simulate([], NET, payloads=False)
+
     def test_wait_unknown_handle_raises(self):
         def prog():
             yield Wait(handles=[99])
@@ -270,6 +321,48 @@ class TestBarrier:
         assert res.rank_times[0] == res.rank_times[1]
         assert res.rank_times[0] >= 50.0
         assert res.stats[0].wait_time >= 49.0
+
+    def test_finished_ranks_leave_the_barrier_quorum(self):
+        """A barrier waits only for the ranks still running.  Rank 0
+        finishes as soon as the first barrier releases; rank 1 finishes
+        while ranks 2 and 3 already wait in the second, and its finish
+        releases them.  The result is pinned to the engine's values from
+        before the quorum became a running count."""
+
+        def leaves_early():
+            yield Compute(seconds=1.0)
+            yield Barrier()
+
+        def leaves_late():
+            yield Compute(seconds=3.0)
+            yield Barrier()
+            yield Compute(seconds=100.0)
+            yield LocalCopy(nbytes=8)  # back to the scheduler, then finish
+
+        def stays(first, second):
+            yield Compute(seconds=first)
+            yield Barrier()
+            yield Compute(seconds=second)
+            yield Barrier()
+            yield Compute(seconds=1.0)
+            yield Barrier()
+
+        res = simulate(
+            [leaves_early(), leaves_late(), stays(2.0, 5.0), stays(4.0, 7.0)],
+            NET,
+        )
+        assert res.time == 124.0
+        assert res.rank_times == [24.0, 124.0, 72.0, 72.0]
+        assert res.ops_processed == 18
+        assert [
+            (s.compute_time, s.mpi_overhead_time, s.wait_time)
+            for s in res.stats
+        ] == [
+            (1.0, 20.0, 3.0),
+            (103.0, 20.0, 1.0),
+            (8.0, 60.0, 4.0),
+            (12.0, 60.0, 0.0),
+        ]
 
 
 class TestFailureModes:
